@@ -4,7 +4,8 @@ Every calculator here is deterministic, so a result can be replayed from
 disk whenever the command name, its parameters and the output format
 version all agree.  Keys are content hashes of that triple; a bumped
 :data:`degenloci.FORMAT_VERSION` therefore orphans old entries instead of
-misreading them.  A corrupt or unreadable entry is treated as a miss.
+misreading them.  A corrupt or unreadable entry is treated as a miss, and
+an entry that cannot be written is skipped.
 
 The cache is opt-in: pass a directory on the command line or set the
 ``DEGENLOCI_CACHE_DIR`` environment variable.
@@ -76,15 +77,19 @@ class ResultCache:
         path = self._path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # write-then-rename so a second process never sees a torn file
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        # write-then-rename so a second process never sees a torn file; a
+        # directory that cannot be written leaves the run uncached.  Keys
+        # keep their order so a replayed result renders like a fresh one.
+        temp_name = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                json.dump(payload, handle)
             os.replace(temp_name, path)
         except OSError:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
+            if temp_name is not None:
+                try:
+                    os.unlink(temp_name)
+                except OSError:
+                    pass
