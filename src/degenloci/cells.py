@@ -63,6 +63,11 @@ def _pair_condition_ok(jumps: tuple[int, ...], k: int, r: int) -> bool:
     return True
 
 
+def _validate_p_max(p_max: Optional[int]) -> None:
+    if p_max is not None and p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+
+
 def _validate_space(n: int, d: int, r: int) -> int:
     if n < 0 or d < 0 or r < 0 or 2 * r > n:
         raise ValueError(f"need 0 <= 2r <= n and d >= 0, got n={n}, d={d}, r={r}")
@@ -171,6 +176,7 @@ def chow_ranks_decomposition(n: int, d: int, r: int,
     does) match the histogram of orbit dimensions.
     """
     k = _validate_space(n, d, r)
+    _validate_p_max(p_max)
     entries: dict[int, int] = {}
     for c in range(max(0, d - r), min(d, k) + 1):
         shift = (k - c) * (d - c)
@@ -226,6 +232,7 @@ def verify_restriction_bounds_degenerate(n: int, d: int, r: int,
     rank decomposition against the raw cell histogram.
     """
     _validate_space(n, d, r)
+    _validate_p_max(p_max)
     table = chow_ranks_decomposition(n, d, r)
     hist = cell_histogram(n, d, r)
     histogram_matches = hist == dict(table.entries)

@@ -6,6 +6,9 @@ renders it as json, csv or a plain-text table.  Results are cached on disk
 when a cache directory is configured; a cache hit replays the stored
 result, so hit or miss can only change timing, never output.
 
+Each leaf command is one entry of :data:`COMMANDS`; the parser, the cache
+key and the renderers all read that table.
+
 Exit codes: 0 on success, 2 on invalid parameters, 3 when a verification
 subcommand finds a genuine failure.
 """
@@ -15,7 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from . import FORMAT_VERSION, __version__
 from .cache import ResultCache, cache_key
@@ -45,7 +49,7 @@ def parse_ambient(spec: str) -> AmbientData:
 
     Accepted forms: ``point``, ``pn:N`` (projective N-space), ``torus:G``
     (complex torus of dimension G) and ``file:PATH`` (JSON object with
-    ``dim`` and a ``betti`` list).
+    ``dim`` and a ``betti`` list).  Anything unreadable raises ValueError.
     """
     if spec == "point":
         return AmbientData.point()
@@ -54,141 +58,39 @@ def parse_ambient(spec: str) -> AmbientData:
     if spec.startswith("torus:"):
         return AmbientData.abelian_variety(int(spec[6:]))
     if spec.startswith("file:"):
-        with open(spec[5:], encoding="utf-8") as handle:
-            data = json.load(handle)
-        return AmbientData(int(data["dim"]), tuple(data["betti"]))
+        path = spec[5:]
+        try:
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"cannot read ambient file {path!r}: "
+                             f"{exc.strerror}") from None
+        except ValueError as exc:
+            raise ValueError(f"ambient file {path!r} is not JSON: {exc}") from None
+        try:
+            return AmbientData(int(data["dim"]), tuple(data["betti"]))
+        except (KeyError, TypeError):
+            raise ValueError(f"ambient file {path!r} must hold an object "
+                             "with dim and a betti list") from None
     raise ValueError(
         f"cannot read ambient space {spec!r}; "
         "use point, pn:N, torus:G or file:PATH")
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (parameters, compute) where
-# compute produces the JSON-ready result.  Renderers work on that JSON, so
-# cached and fresh results print identically.
+# computations too long for the table
 
 
-def _cmd_thresholds(args) -> tuple[dict, Callable[[], dict]]:
-    params = {"kind": args.kind, "dimx": args.dimx, "e": args.e,
-              "f": args.f, "r": args.r, "max_rank": args.max_rank,
-              "ambient_jump": args.ambient_jump}
-
-    def compute() -> dict:
-        setup = MorphismSetup(args.kind, e=args.e, f=args.f, r=args.r,
-                              max_rank=args.max_rank,
-                              ambient_jump=args.ambient_jump)
-        return thresholds_report(setup, args.dimx).to_json_obj()
-
-    return params, compute
-
-
-def _cmd_betti(args) -> tuple[dict, Callable[[], dict]]:
-    if args.variant == "general":
-        params = {"ambient": args.ambient, "e": args.e, "f": args.f,
-                  "r": args.r}
-
-        def compute() -> dict:
-            return betti_degeneracy(parse_ambient(args.ambient),
-                                    args.e, args.f, args.r).to_json_obj()
-    elif args.variant == "skew":
-        params = {"ambient": args.ambient, "e": args.e, "r": args.r}
-
-        def compute() -> dict:
-            return betti_skew(parse_ambient(args.ambient),
-                              args.e, args.r).to_json_obj()
-    else:
-        params = {"ambient": args.ambient, "case": args.case}
-
-        def compute() -> dict:
-            return betti_orthogonal_special(parse_ambient(args.ambient),
-                                            args.case).to_json_obj()
-    return params, compute
-
-
-def _cmd_ring(args) -> tuple[dict, Callable[[], dict]]:
-    if args.variant == "grassmannian":
-        params = {"d": args.d, "n": args.n, "max_degree": args.max_degree}
-
-        def compute() -> dict:
-            pres = grassmannian_presentation(args.d, args.n)
-            return graded_table(pres, args.max_degree).to_json_obj()
-    else:
-        params = {"d": args.d, "r": args.r, "max_degree": args.max_degree}
-
-        def compute() -> dict:
-            pres = isotropic_presentation(args.d, args.r)
-            return graded_table(pres, args.max_degree).to_json_obj()
-    return params, compute
-
-
-def _cmd_restriction(args) -> tuple[dict, Callable[[], dict]]:
-    n = 2 * args.r if args.n is None else args.n
-    params = {"d": args.d, "n": n, "r": args.r, "up_to": args.up_to}
-
-    def compute() -> dict:
-        return restriction_report(args.d, n, args.r, args.up_to).to_json_obj()
-
-    return params, compute
-
-
-def _cmd_cells(args) -> tuple[dict, Callable[[], dict]]:
-    params = {"n": args.n, "d": args.d, "r": args.r}
-    if args.variant == "enumerate":
-        def compute() -> dict:
-            sigs = enumerate_orbit_signatures(args.n, args.d, args.r)
-            return {
-                "n": args.n, "d": args.d, "r": args.r,
-                "cells": [
-                    {"jumps": list(sig.jumps),
-                     "dimension": orbit_dimension(sig, args.n, args.d, args.r)}
-                    for sig in sigs
-                ],
-                "total": len(sigs),
-            }
-    elif args.variant == "chow":
-        params["p_max"] = args.p_max
-
-        def compute() -> dict:
-            table = chow_ranks_decomposition(args.n, args.d, args.r,
-                                             p_max=args.p_max)
-            return table.to_json_obj()
-    else:
-        params["p_max"] = args.p_max
-
-        def compute() -> dict:
-            report = verify_restriction_bounds_degenerate(
-                args.n, args.d, args.r, p_max=args.p_max)
-            return report.to_json_obj()
-
-    return params, compute
-
-
-def _cmd_partitions(args) -> tuple[dict, Callable[[], dict]]:
-    if args.variant == "count":
-        params = {"weight": args.weight, "max_part": args.max_part,
-                  "max_length": args.max_length}
-
-        def compute() -> dict:
-            count = count_box_partitions(args.weight, args.max_part,
-                                         args.max_length)
-            return dict(params, count=count)
-    else:
-        params = {"q_max": args.q_max, "max_part": args.max_part}
-
-        def compute() -> dict:
-            return verify_doubling_bijection(args.q_max,
-                                             args.max_part).to_json_obj()
-
-    return params, compute
-
-
-def _cmd_examples(args) -> tuple[dict, Callable[[], list]]:
-    params = {"name": args.name}
-
-    def compute() -> list:
-        return [rep.to_json_obj() for rep in run_examples(args.name)]
-
-    return params, compute
+def _cells_enumerate(p: dict) -> dict:
+    n, d, r = p["n"], p["d"], p["r"]
+    sigs = enumerate_orbit_signatures(n, d, r)
+    return {
+        "n": n, "d": d, "r": r,
+        "cells": [{"jumps": list(sig.jumps),
+                   "dimension": orbit_dimension(sig, n, d, r)}
+                  for sig in sigs],
+        "total": len(sigs),
+    }
 
 
 def _verify_all() -> dict:
@@ -237,12 +139,280 @@ def _verify_all() -> dict:
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _cmd_verify(args) -> tuple[dict, Callable[[], dict]]:
-    return {"scope": args.scope}, _verify_all
+# ---------------------------------------------------------------------------
+# renderers too long for the table: csv builders return (header, rows) and
+# pretty printers return lines.  Both read only the JSON result, so cached
+# and fresh results print identically.
+
+
+def _thresholds_csv(result: dict):
+    rows = [[k, v] for k, v in sorted(result.items())
+            if k not in ("setup", "epsilon_table", "notes")]
+    rows += [[f"epsilon[{m}]", v] for m, v in result["epsilon_table"]]
+    return "quantity,value", rows
+
+
+def _thresholds_pretty(result: dict) -> list[str]:
+    lines = [f"{key}: {result[key]}" for key in (
+        "dim_x", "expected_dimension", "expected_codimension",
+        "max_lefschetz", "connectivity_offset", "connected_if_dim_above")]
+    if result["epsilon_table"]:
+        eps = ", ".join(f"{m}:{v}" for m, v in result["epsilon_table"])
+        lines.append(f"allowance by degree: {eps}")
+    return lines + [f"note: {note}" for note in result["notes"]]
+
+
+def _betti_csv(result: dict):
+    return "degree,rank", result["betti"]
+
+
+def _betti_pretty(result: dict) -> list[str]:
+    lines = [f"{key}: {value}" for key, value in sorted(result["setup"].items())]
+    bound = result["valid_below"]
+    lines.append("complete table" if bound is None
+                 else f"valid for degrees strictly below {bound}")
+    lines += [f"  degree {p:3d}  rank {rank}" for p, rank in result["betti"]]
+    return lines + [f"assuming: {note}" for note in result["assumptions"]]
+
+
+def _ring_csv(result: dict):
+    return "degree,rank,torsion", [
+        [row["degree"], row["rank"], ";".join(str(t) for t in row["torsion"])]
+        for row in result["rows"]]
+
+
+def _ring_pretty(result: dict) -> list[str]:
+    lines = [f"{result['label']} " + " ".join(
+        f"{k}={v}" for k, v in sorted(result["params"].items()))]
+    for row in result["rows"]:
+        if row["degree"] % 2:
+            continue
+        tor = ("" if not row["torsion"]
+               else "  torsion " + "x".join(f"Z/{t}" for t in row["torsion"]))
+        lines.append(f"  degree {row['degree']:3d}  rank {row['rank']}{tor}")
+    return lines
+
+
+def _restriction_pretty(result: dict) -> list[str]:
+    lines = [f"restriction in half-degrees 0..{len(result['rows']) - 1} "
+             f"(bijective guaranteed through half-degree "
+             f"{result['bijective_bound']})"]
+    for row in result["rows"]:
+        status = "bijective" if row["bijective"] else "surjective only"
+        lines.append(f"  half-degree {row['half_degree']:3d}  "
+                     f"{row['rank_source']} -> {row['rank_target']}  "
+                     f"[{status}]")
+    return lines
+
+
+def _example_parameters(rep: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in rep["parameters"].items())
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# the command table
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+def _int(flag: str, **options) -> tuple[tuple[str, ...], dict]:
+    return _arg(flag, required=True, type=int, **options)
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    return flags[0].lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One leaf command.
+
+    ``name`` is the command string of the envelope and the cache key; its
+    first word is a top-level subcommand and its second word, if any, a
+    subcommand of that (or, with ``nested=False``, the only value of a
+    positional argument).  ``help`` is the top-level help, given on the
+    first command of each group.  ``params`` maps parsed arguments to the
+    envelope's parameters, by default one per argument; ``compute`` maps
+    those parameters to the JSON result.  Calculators are looked up by name
+    when ``compute`` runs, so patching this module's globals reaches them.
+    """
+
+    name: str
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+    compute: Callable[[dict], Any]
+    csv: Callable[[Any], tuple[str, list]]
+    pretty: Callable[[Any], list[str]]
+    help: Optional[str] = None
+    params: Optional[Callable[[argparse.Namespace], dict]] = None
+    nested: bool = True
+
+    def parameters(self, args: argparse.Namespace) -> dict:
+        if self.params is not None:
+            return self.params(args)
+        return {_dest(flags): getattr(args, _dest(flags))
+                for flags, _ in self.arguments}
+
+
+_CELL_SPACE = (_int("--n"), _int("--d"), _int("--r"))
+_AMBIENT = _arg("--ambient", required=True,
+                help="point, pn:N, torus:G or file:PATH")
+
+COMMANDS = (
+    Command(
+        "thresholds",
+        (_arg("--kind", required=True, choices=("general", "skew", "orthogonal")),
+         _int("--dimx", help="dimension of the ambient space"),
+         _arg("--e", type=int, help="rank of the source bundle"),
+         _arg("--f", type=int, help="rank of the target bundle"),
+         _arg("--r", type=int, default=0, help="rank bound of the locus"),
+         _arg("--max-rank", type=int,
+              help="rank bound holding everywhere on the ambient space"),
+         _arg("--ambient-jump", type=int,
+              help="intersection jump holding everywhere (orthogonal)")),
+        lambda p: thresholds_report(MorphismSetup(
+            p["kind"], e=p["e"], f=p["f"], r=p["r"], max_rank=p["max_rank"],
+            ambient_jump=p["ambient_jump"]), p["dimx"]).to_json_obj(),
+        _thresholds_csv, _thresholds_pretty,
+        help="expected dimension, Lefschetz degree and connectedness bound "
+             "of one setup"),
+    Command(
+        "betti general", (_AMBIENT, _int("--e"), _int("--f"), _int("--r")),
+        lambda p: betti_degeneracy(parse_ambient(p["ambient"]), p["e"], p["f"],
+                                   p["r"]).to_json_obj(),
+        _betti_csv, _betti_pretty, help="Betti table of a rank-drop locus"),
+    Command(
+        "betti skew", (_AMBIENT, _int("--e"), _int("--r")),
+        lambda p: betti_skew(parse_ambient(p["ambient"]), p["e"],
+                             p["r"]).to_json_obj(),
+        _betti_csv, _betti_pretty),
+    Command(
+        "betti orthogonal",
+        (_AMBIENT, _arg("--case", required=True, choices=("even", "odd"))),
+        lambda p: betti_orthogonal_special(parse_ambient(p["ambient"]),
+                                           p["case"]).to_json_obj(),
+        _betti_csv, _betti_pretty),
+    Command(
+        "ring grassmannian", (_int("--d"), _int("--n"), _int("--max-degree")),
+        lambda p: graded_table(grassmannian_presentation(p["d"], p["n"]),
+                               p["max_degree"]).to_json_obj(),
+        _ring_csv, _ring_pretty, help="graded ranks of a cohomology ring"),
+    Command(
+        "ring isotropic", (_int("--d"), _int("--r"), _int("--max-degree")),
+        lambda p: graded_table(isotropic_presentation(p["d"], p["r"]),
+                               p["max_degree"]).to_json_obj(),
+        _ring_csv, _ring_pretty),
+    Command(
+        "restriction",
+        (_int("--d"), _int("--r"), _arg("--n", type=int, help="defaults to 2r"),
+         _arg("--up-to", type=int, metavar="P",
+              help="largest half-degree to compare")),
+        lambda p: restriction_report(p["d"], p["n"], p["r"],
+                                     p["up_to"]).to_json_obj(),
+        lambda result: ("half_degree,rank_source,rank_target,bijective", [
+            [row["half_degree"], row["rank_source"], row["rank_target"],
+             row["bijective"]] for row in result["rows"]]),
+        _restriction_pretty,
+        help="rank comparison along restriction from the ordinary to the "
+             "isotropic Grassmannian",
+        params=lambda a: {"d": a.d, "n": 2 * a.r if a.n is None else a.n,
+                          "r": a.r, "up_to": a.up_to}),
+    Command(
+        "cells enumerate", _CELL_SPACE, _cells_enumerate,
+        lambda result: ("jumps,dimension", [
+            [" ".join(str(j) for j in cell["jumps"]), cell["dimension"]]
+            for cell in result["cells"]]),
+        lambda result: [f"{result['total']} cells"] + [
+            f"  jumps ({','.join(str(j) for j in cell['jumps'])})  "
+            f"dimension {cell['dimension']}" for cell in result["cells"]],
+        help="cell decomposition of an isotropic Grassmannian in a "
+             "degenerate form"),
+    Command(
+        "cells chow", _CELL_SPACE + (_arg("--p-max", type=int),),
+        lambda p: chow_ranks_decomposition(**p).to_json_obj(),
+        _betti_csv, _betti_pretty),
+    Command(
+        "cells verify", _CELL_SPACE + (_arg("--p-max", type=int),),
+        lambda p: verify_restriction_bounds_degenerate(**p).to_json_obj(),
+        lambda result: ("dimension,rank_restricted,rank_ambient", result["rows"]),
+        lambda result: [
+            "passed" if result["passed"]
+            else f"FAILED: {result['first_violation']}"] + [
+            f"  dimension {p:3d}  rank {lg} <= {g}" for p, lg, g in result["rows"]]),
+    Command(
+        "partitions count",
+        (_int("--weight"), _int("--max-part"), _arg("--max-length", type=int)),
+        lambda p: dict(p, count=count_box_partitions(**p)),
+        lambda result: ("weight,max_part,max_length,count", [
+            [result[k] for k in ("weight", "max_part", "max_length", "count")]]),
+        lambda result: [str(result["count"])],
+        help="partition counting utilities"),
+    Command(
+        "partitions bijection", (_int("--q-max"), _int("--max-part")),
+        lambda p: verify_doubling_bijection(**p).to_json_obj(),
+        lambda result: ("quantity,value", sorted(result.items())),
+        lambda result: [
+            "passed" if result["passed"] else f"FAILED: {result['failure']}",
+            f"checked {result['pairs_checked']} pairs "
+            f"across {result['weights_checked']} weights"]),
+    Command(
+        "examples run",
+        (_arg("name", nargs="?", default=None,
+              help="one example family; all of them when omitted"),),
+        lambda p: [rep.to_json_obj() for rep in run_examples(p["name"])],
+        lambda result: ("name,parameters,match,first_mismatch", [
+            [rep["name"], _example_parameters(rep), rep["match"],
+             rep["first_mismatch"] or ""] for rep in result]),
+        lambda result: [
+            f"{rep['name']} {_example_parameters(rep)}: "
+            + ("ok" if rep["match"] else f"FAILED: {rep['first_mismatch']}")
+            for rep in result],
+        help="run the bundled worked examples"),
+    Command(
+        "verify all", (_arg("scope", choices=("all",)),),
+        lambda p: _verify_all(),
+        lambda result: ("check,passed,detail", [
+            [c["name"], c["passed"], c["detail"] or ""] for c in result["checks"]]),
+        lambda result: [
+            f"{c['name']}: " + ("ok" if c["passed"] else f"FAILED: {c['detail']}")
+            for c in result["checks"]] + [
+            "all checks passed" if result["passed"] else "verification FAILED"],
+        help="run the self-test battery", nested=False),
+)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing and rendering
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="degenloci",
+        description="Exact Betti tables, cohomology rings and cell counts "
+                    "for rank-drop loci of vector-bundle morphisms.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups: dict = {}
+    for command in COMMANDS:
+        head, _, tail = command.name.partition(" ")
+        if tail and command.nested:
+            if head not in groups:
+                group = sub.add_parser(head, help=command.help)
+                groups[head] = group.add_subparsers(dest="variant", required=True)
+            p = groups[head].add_parser(tail)
+        else:
+            p = sub.add_parser(head, help=command.help)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("--format", choices=("json", "csv", "pretty"),
+                       default="pretty", help="output format")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="directory for cached results "
+                            "(default: $DEGENLOCI_CACHE_DIR, else no cache)")
+        p.set_defaults(leaf=command)
+    return parser
 
 
 def _result_ok(result) -> bool:
@@ -254,302 +424,39 @@ def _result_ok(result) -> bool:
     return True
 
 
-def _render_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_lines(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(str(x) for x in row)
-                                 for row in rows]) + "\n"
-
-
-def _render_csv(command: str, result) -> str:
-    if command == "thresholds":
-        rows = [[k, v] for k, v in sorted(result.items())
-                if k not in ("setup", "epsilon_table", "notes")]
-        rows += [[f"epsilon[{m}]", v] for m, v in result["epsilon_table"]]
-        return _csv_lines("quantity,value", rows)
-    if command.startswith("betti") or command == "cells chow":
-        return _csv_lines("degree,rank", result["betti"])
-    if command.startswith("ring"):
-        return _csv_lines("degree,rank,torsion", [
-            [row["degree"], row["rank"],
-             ";".join(str(t) for t in row["torsion"])]
-            for row in result["rows"]])
-    if command == "restriction":
-        return _csv_lines("half_degree,rank_source,rank_target,bijective", [
-            [row["half_degree"], row["rank_source"], row["rank_target"],
-             row["bijective"]]
-            for row in result["rows"]])
-    if command == "cells enumerate":
-        return _csv_lines("jumps,dimension", [
-            [" ".join(str(j) for j in cell["jumps"]), cell["dimension"]]
-            for cell in result["cells"]])
-    if command == "cells verify":
-        return _csv_lines("dimension,rank_restricted,rank_ambient",
-                          result["rows"])
-    if command == "partitions count":
-        keys = ["weight", "max_part", "max_length", "count"]
-        return _csv_lines(",".join(keys), [[result[k] for k in keys]])
-    if command == "partitions bijection":
-        return _csv_lines("quantity,value", sorted(result.items()))
-    if command == "examples run":
-        return _csv_lines("name,parameters,match,first_mismatch", [
-            [rep["name"],
-             " ".join(f"{k}={v}" for k, v in rep["parameters"].items()),
-             rep["match"], rep["first_mismatch"] or ""]
-            for rep in result])
-    if command == "verify all":
-        return _csv_lines("check,passed,detail", [
-            [c["name"], c["passed"], c["detail"] or ""]
-            for c in result["checks"]])
-    raise ValueError(f"no csv form for {command!r}")
-
-
-def _pretty_betti(result: dict) -> list[str]:
-    lines = []
-    for key, value in sorted(result["setup"].items()):
-        lines.append(f"{key}: {value}")
-    bound = result["valid_below"]
-    lines.append("complete table" if bound is None
-                 else f"valid for degrees strictly below {bound}")
-    for p, rank in result["betti"]:
-        lines.append(f"  degree {p:3d}  rank {rank}")
-    for note in result["assumptions"]:
-        lines.append(f"assuming: {note}")
-    return lines
-
-
-def _render_pretty(command: str, result) -> str:
-    lines: list[str] = []
-    if command.startswith("betti") or command == "cells chow":
-        lines = _pretty_betti(result)
-    elif command == "thresholds":
-        for key in ("dim_x", "expected_dimension", "expected_codimension",
-                    "max_lefschetz", "connectivity_offset",
-                    "connected_if_dim_above"):
-            lines.append(f"{key}: {result[key]}")
-        if result["epsilon_table"]:
-            eps = ", ".join(f"{m}:{v}" for m, v in result["epsilon_table"])
-            lines.append(f"allowance by degree: {eps}")
-        for note in result["notes"]:
-            lines.append(f"note: {note}")
-    elif command.startswith("ring"):
-        lines.append(f"{result['label']} "
-                     + " ".join(f"{k}={v}" for k, v in
-                                sorted(result["params"].items())))
-        for row in result["rows"]:
-            if row["degree"] % 2:
-                continue
-            tor = ("" if not row["torsion"]
-                   else "  torsion " + "x".join(f"Z/{t}" for t in row["torsion"]))
-            lines.append(f"  degree {row['degree']:3d}  rank {row['rank']}{tor}")
-    elif command == "restriction":
-        lines.append(f"restriction in half-degrees 0..{len(result['rows']) - 1} "
-                     f"(bijective guaranteed through half-degree "
-                     f"{result['bijective_bound']})")
-        for row in result["rows"]:
-            status = "bijective" if row["bijective"] else "surjective only"
-            lines.append(f"  half-degree {row['half_degree']:3d}  "
-                         f"{row['rank_source']} -> {row['rank_target']}  "
-                         f"[{status}]")
-    elif command == "cells enumerate":
-        lines.append(f"{result['total']} cells")
-        for cell in result["cells"]:
-            jumps = ",".join(str(j) for j in cell["jumps"])
-            lines.append(f"  jumps ({jumps})  dimension {cell['dimension']}")
-    elif command == "cells verify":
-        lines.append("passed" if result["passed"]
-                     else f"FAILED: {result['first_violation']}")
-        for p, lg, g in result["rows"]:
-            lines.append(f"  dimension {p:3d}  rank {lg} <= {g}")
-    elif command == "partitions count":
-        lines.append(str(result["count"]))
-    elif command == "partitions bijection":
-        lines.append("passed" if result["passed"]
-                     else f"FAILED: {result['failure']}")
-        lines.append(f"checked {result['pairs_checked']} pairs "
-                     f"across {result['weights_checked']} weights")
-    elif command == "examples run":
-        for rep in result:
-            tag = "ok" if rep["match"] else f"FAILED: {rep['first_mismatch']}"
-            args_str = " ".join(f"{k}={v}" for k, v in rep["parameters"].items())
-            lines.append(f"{rep['name']} {args_str}: {tag}")
-    elif command == "verify all":
-        for check in result["checks"]:
-            tag = "ok" if check["passed"] else f"FAILED: {check['detail']}"
-            lines.append(f"{check['name']}: {tag}")
-        lines.append("all checks passed" if result["passed"]
-                     else "verification FAILED")
-    else:
-        lines.append(json.dumps(result, indent=2, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="degenloci",
-        description="Exact Betti tables, cohomology rings and cell counts "
-                    "for rank-drop loci of vector-bundle morphisms.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default="pretty", help="output format")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="directory for cached results "
-                            "(default: $DEGENLOCI_CACHE_DIR, else no cache)")
-
-    p = sub.add_parser("thresholds",
-                       help="expected dimension, Lefschetz degree and "
-                            "connectedness bound of one setup")
-    p.add_argument("--kind", required=True,
-                   choices=("general", "skew", "orthogonal"))
-    p.add_argument("--dimx", required=True, type=int,
-                   help="dimension of the ambient space")
-    p.add_argument("--e", type=int, help="rank of the source bundle")
-    p.add_argument("--f", type=int, help="rank of the target bundle")
-    p.add_argument("--r", type=int, default=0, help="rank bound of the locus")
-    p.add_argument("--max-rank", type=int,
-                   help="rank bound holding everywhere on the ambient space")
-    p.add_argument("--ambient-jump", type=int,
-                   help="intersection jump holding everywhere (orthogonal)")
-    output_flags(p)
-    p.set_defaults(run=_cmd_thresholds, label=lambda a: "thresholds")
-
-    p = sub.add_parser("betti", help="Betti table of a rank-drop locus")
-    bsub = p.add_subparsers(dest="variant", required=True)
-    for variant in ("general", "skew", "orthogonal"):
-        q = bsub.add_parser(variant)
-        q.add_argument("--ambient", required=True,
-                       help="point, pn:N, torus:G or file:PATH")
-        if variant == "general":
-            q.add_argument("--e", required=True, type=int)
-            q.add_argument("--f", required=True, type=int)
-            q.add_argument("--r", required=True, type=int)
-        elif variant == "skew":
-            q.add_argument("--e", required=True, type=int)
-            q.add_argument("--r", required=True, type=int)
-        else:
-            q.add_argument("--case", required=True, choices=("even", "odd"))
-        output_flags(q)
-        q.set_defaults(run=_cmd_betti, label=lambda a: f"betti {a.variant}")
-
-    p = sub.add_parser("ring", help="graded ranks of a cohomology ring")
-    rsub = p.add_subparsers(dest="variant", required=True)
-    q = rsub.add_parser("grassmannian")
-    q.add_argument("--d", required=True, type=int)
-    q.add_argument("--n", required=True, type=int)
-    q.add_argument("--max-degree", required=True, type=int)
-    output_flags(q)
-    q.set_defaults(run=_cmd_ring, label=lambda a: "ring grassmannian")
-    q = rsub.add_parser("isotropic")
-    q.add_argument("--d", required=True, type=int)
-    q.add_argument("--r", required=True, type=int)
-    q.add_argument("--max-degree", required=True, type=int)
-    output_flags(q)
-    q.set_defaults(run=_cmd_ring, label=lambda a: "ring isotropic")
-
-    p = sub.add_parser("restriction",
-                       help="rank comparison along restriction from the "
-                            "ordinary to the isotropic Grassmannian")
-    p.add_argument("--d", required=True, type=int)
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--n", type=int, help="defaults to 2r")
-    p.add_argument("--up-to", type=int, metavar="P",
-                   help="largest half-degree to compare")
-    output_flags(p)
-    p.set_defaults(run=_cmd_restriction, label=lambda a: "restriction")
-
-    p = sub.add_parser("cells",
-                       help="cell decomposition of an isotropic "
-                            "Grassmannian in a degenerate form")
-    csub = p.add_subparsers(dest="variant", required=True)
-    for variant in ("enumerate", "chow", "verify"):
-        q = csub.add_parser(variant)
-        q.add_argument("--n", required=True, type=int)
-        q.add_argument("--d", required=True, type=int)
-        q.add_argument("--r", required=True, type=int)
-        if variant != "enumerate":
-            q.add_argument("--p-max", type=int)
-        output_flags(q)
-        q.set_defaults(run=_cmd_cells, label=lambda a: f"cells {a.variant}")
-
-    p = sub.add_parser("partitions", help="partition counting utilities")
-    psub = p.add_subparsers(dest="variant", required=True)
-    q = psub.add_parser("count")
-    q.add_argument("--weight", required=True, type=int)
-    q.add_argument("--max-part", required=True, type=int)
-    q.add_argument("--max-length", type=int)
-    output_flags(q)
-    q.set_defaults(run=_cmd_partitions, label=lambda a: "partitions count")
-    q = psub.add_parser("bijection")
-    q.add_argument("--q-max", required=True, type=int)
-    q.add_argument("--max-part", required=True, type=int)
-    output_flags(q)
-    q.set_defaults(run=_cmd_partitions, label=lambda a: "partitions bijection")
-
-    p = sub.add_parser("examples", help="run the bundled worked examples")
-    esub = p.add_subparsers(dest="variant", required=True)
-    q = esub.add_parser("run")
-    q.add_argument("name", nargs="?", default=None,
-                   help="one example family; all of them when omitted")
-    output_flags(q)
-    q.set_defaults(run=_cmd_examples, label=lambda a: "examples run")
-
-    p = sub.add_parser("verify", help="run the self-test battery")
-    p.add_argument("scope", choices=("all",))
-    output_flags(p)
-    p.set_defaults(run=_cmd_verify, label=lambda a: "verify all")
-
-    return parser
+def _render(fmt: str, command: Command, envelope: dict) -> str:
+    if fmt == "json":
+        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        header, rows = command.csv(envelope["result"])
+        return "\n".join([header] + [",".join(str(x) for x in row)
+                                     for row in rows]) + "\n"
+    return "\n".join(command.pretty(envelope["result"])) + "\n"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.label(args)
-    try:
-        params, compute = args.run(args)
-    except ValueError as exc:
-        print(f"degenloci: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    args = _build_parser().parse_args(argv)
+    command: Command = args.leaf
+    params = command.parameters(args)
 
     cache = ResultCache.from_environment(args.cache_dir)
-    key = cache_key(command, params, FORMAT_VERSION)
+    key = cache_key(command.name, params, FORMAT_VERSION)
     envelope = cache.load(key)
     if envelope is None:
         try:
-            result = compute()
+            result = command.compute(params)
         except (ValueError, OutsideValidityError) as exc:
             print(f"degenloci: {exc}", file=sys.stderr)
             return EXIT_BAD_PARAMS
         except VerificationError as exc:
             print(f"degenloci: verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION
-        envelope = {"format_version": FORMAT_VERSION, "command": command,
+        envelope = {"format_version": FORMAT_VERSION, "command": command.name,
                     "parameters": params, "result": result}
         cache.store(key, envelope)
-    result = envelope["result"]
 
-    if args.format == "json":
-        sys.stdout.write(_render_json(envelope))
-    elif args.format == "csv":
-        try:
-            sys.stdout.write(_render_csv(command, result))
-        except ValueError as exc:
-            print(f"degenloci: {exc}", file=sys.stderr)
-            return EXIT_BAD_PARAMS
-    else:
-        sys.stdout.write(_render_pretty(command, result))
-
-    return EXIT_OK if _result_ok(result) else EXIT_VERIFICATION
+    sys.stdout.write(_render(args.format, command, envelope))
+    return EXIT_OK if _result_ok(envelope["result"]) else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

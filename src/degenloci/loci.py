@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .partitions import count_box_partitions, count_strict_partitions
 from .tables import BettiTable
@@ -282,6 +282,15 @@ class GrowthReport:
                 "passed": self.passed, "failure": self.failure}
 
 
+def _allowance_holds(kind: str, t: int) -> bool:
+    """The allowance inequality of the induction at degree t."""
+    if kind == "general":
+        half = t // 2
+        return epsilon_general(t) + half * (half + 2) > t
+    quarter = t // 4
+    return epsilon_skew(t) + quarter * (2 * quarter + 3) > t
+
+
 def verify_growth_inequalities(kind: str, e: int, r: int, f: Optional[int] = None,
                                t_max: int = 100) -> GrowthReport:
     """Check the inequalities that drive the induction on the rank.
@@ -296,47 +305,40 @@ def verify_growth_inequalities(kind: str, e: int, r: int, f: Optional[int] = Non
     covers every ambient space.  Failures are lemma-level bugs and are
     reported with a witness.
     """
-    report = GrowthReport()
     if kind == "general":
         if f is None:
             raise ValueError("general kind needs f")
         if not 0 <= r < e <= f:
             raise ValueError(f"need 0 <= r < e <= f, got r={r}, e={e}, f={f}")
-        n = 0
-        for t in range(0, r + 1):
-            for s in range(0, t + 1):
-                gap = (expected_dimension_general(0, e, f, t)
-                       - expected_dimension_general(0, e, f, t - s))
-                n += 1
-                if gap < s * (s + 2):
-                    report.note_failure(f"codimension gap fails at t={t}, s={s}")
-        report.checked["codimension_gap"] = n
-        for t in range(0, t_max + 1):
-            half = t // 2
-            if epsilon_general(t) + half * (half + 2) <= t:
-                report.note_failure(f"allowance fails at t={t}")
-        report.checked["allowance"] = t_max + 1
+
+        def dim(t: int) -> int:
+            return expected_dimension_general(0, e, f, t)
+
+        def gap_needed(s: int) -> int:
+            return s * (s + 2)
     elif kind == "skew":
         if f is not None:
             raise ValueError("skew kind takes no f")
         if not (0 <= 2 * r and 2 * r + 2 <= e):
             raise ValueError(f"need e >= 2r+2, got r={r}, e={e}")
-        n = 0
-        for t in range(0, r + 1):
-            for s in range(0, t + 1):
-                gap = (expected_dimension_skew(0, e, t)
-                       - expected_dimension_skew(0, e, t - s))
-                n += 1
-                if gap < s * (2 * s + 3):
-                    report.note_failure(f"codimension gap fails at t={t}, s={s}")
-        report.checked["codimension_gap"] = n
-        for t in range(0, t_max + 1):
-            quarter = t // 4
-            if epsilon_skew(t) + quarter * (2 * quarter + 3) <= t:
-                report.note_failure(f"allowance fails at t={t}")
-        report.checked["allowance"] = t_max + 1
+
+        def dim(t: int) -> int:
+            return expected_dimension_skew(0, e, t)
+
+        def gap_needed(s: int) -> int:
+            return s * (2 * s + 3)
     else:
         raise ValueError(f"kind must be 'general' or 'skew', got {kind!r}")
+    report = GrowthReport()
+    pairs = [(t, s) for t in range(r + 1) for s in range(t + 1)]
+    for t, s in pairs:
+        if dim(t) - dim(t - s) < gap_needed(s):
+            report.note_failure(f"codimension gap fails at t={t}, s={s}")
+    report.checked["codimension_gap"] = len(pairs)
+    for t in range(t_max + 1):
+        if not _allowance_holds(kind, t):
+            report.note_failure(f"allowance fails at t={t}")
+    report.checked["allowance"] = t_max + 1
     return report
 
 
@@ -360,11 +362,9 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
             if not rep.passed:
                 merged.note_failure(f"e={e}: {rep.failure}")
     for t in range(0, t_max + 1):
-        half, quarter = t // 2, t // 4
-        if epsilon_general(t) + half * (half + 2) <= t:
-            merged.note_failure(f"general allowance fails at t={t}")
-        if epsilon_skew(t) + quarter * (2 * quarter + 3) <= t:
-            merged.note_failure(f"skew allowance fails at t={t}")
+        for kind in ("general", "skew"):
+            if not _allowance_holds(kind, t):
+                merged.note_failure(f"{kind} allowance fails at t={t}")
     merged.checked["general_allowance"] = t_max + 1
     merged.checked["skew_allowance"] = t_max + 1
     return merged
@@ -372,6 +372,14 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
 
 # ---------------------------------------------------------------------------
 # Betti calculators
+
+
+def _shifted_sum(ambient: AmbientData, p: int, step: int,
+                 mult: Callable[[int], int]) -> int:
+    """``sum_q mult(q) * b_(p - step*q)(X)``: degree p of the ambient Betti
+    numbers, one copy shifted by step*q for each of the mult(q) classes of
+    weight q."""
+    return sum(mult(q) * ambient.h(p - step * q) for q in range(p // step + 1))
 
 
 def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable:
@@ -383,17 +391,10 @@ def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable
     if not 0 <= r <= e <= f:
         raise ValueError(f"need 0 <= r <= e <= f, got r={r}, e={e}, f={f}")
     valid_below = max(expected_dimension_general(ambient.dim, e, f, r), 0)
-    entries: dict[int, int] = {}
-    for p in range(valid_below):
-        total = 0
-        for q in range(p // 2 + 1):
-            mult = count_box_partitions(q, r, e - r)
-            if mult:
-                total += mult * ambient.h(p - 2 * q)
-        if total:
-            entries[p] = total
+    sums = (_shifted_sum(ambient, p, 2, lambda q: count_box_partitions(q, r, e - r))
+            for p in range(valid_below))
     return BettiTable(
-        entries, valid_below,
+        {p: b for p, b in enumerate(sums) if b}, valid_below,
         setup={"kind": "general", "e": e, "f": f, "r": r, "dim_x": ambient.dim},
         assumptions=("rank < r locus is empty",
                      "the hom bundle is ample",
@@ -411,17 +412,10 @@ def betti_skew(ambient: AmbientData, e: int, r: int) -> BettiTable:
     if not 0 <= 2 * r <= e:
         raise ValueError(f"need 0 <= 2r <= e, got r={r}, e={e}")
     valid_below = max(expected_dimension_skew(ambient.dim, e, r), 0)
-    entries: dict[int, int] = {}
-    for p in range(valid_below):
-        total = 0
-        for q in range(p // 4 + 1):
-            mult = count_box_partitions(q, r)
-            if mult:
-                total += mult * ambient.h(p - 4 * q)
-        if total:
-            entries[p] = total
+    sums = (_shifted_sum(ambient, p, 4, lambda q: count_box_partitions(q, r))
+            for p in range(valid_below))
     return BettiTable(
-        entries, valid_below,
+        {p: b for p, b in enumerate(sums) if b}, valid_below,
         setup={"kind": "skew", "e": e, "r": r, "dim_x": ambient.dim},
         assumptions=("rank < 2r locus is empty",
                      "the twisted square bundle is ample",
@@ -530,15 +524,8 @@ def fibration_ambient(ambient: AmbientData, fiber: Fiber) -> AmbientData:
     Returning AmbientData lets towers of bundles compose.
     """
     dim = ambient.dim + fiber.fiber_dimension
-    betti = []
-    for p in range(2 * dim + 1):
-        total = 0
-        for q in range(p // 2 + 1):
-            mult = fiber.shift_count(q)
-            if mult:
-                total += mult * ambient.h(p - 2 * q)
-        betti.append(total)
-    return AmbientData(dim, tuple(betti))
+    return AmbientData(dim, tuple(_shifted_sum(ambient, p, 2, fiber.shift_count)
+                                  for p in range(2 * dim + 1)))
 
 
 def fibration_betti(ambient: AmbientData, fiber: Fiber) -> BettiTable:

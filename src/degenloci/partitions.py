@@ -132,27 +132,35 @@ def enumerate_strict_partitions(weight: int, max_part: int) -> list[StrictPartit
 
 
 @lru_cache(maxsize=None)
-def _count_box(weight: int, max_part: int, max_length: int) -> int:
-    # max_length == -1 encodes "unbounded"
-    if weight == 0:
-        return 1
-    if max_part <= 0 or max_length == 0:
-        return 0
-    total = _count_box(weight, max_part - 1, max_length)
-    if weight >= max_part:
-        total += _count_box(weight - max_part, max_part,
-                            max_length - 1 if max_length > 0 else -1)
-    return total
+def _box_series(rows: int, cols: int, top: int) -> tuple[int, ...]:
+    """Coefficients of q^0 .. q^top in the Gaussian binomial
+    [rows + cols choose rows]_q, which counts partitions in a rows x cols
+    box by weight.  Built as prod_i (1 - q^(cols+i)) / (1 - q^i) for
+    i = 1 .. rows; every partial product is a polynomial, so truncated
+    series arithmetic is exact."""
+    series = [1] + [0] * top
+    for i in range(1, rows + 1):
+        for k in range(top, cols + i - 1, -1):
+            series[k] -= series[k - cols - i]
+        for k in range(i, top + 1):
+            series[k] += series[k - i]
+    return tuple(series)
 
 
 def count_box_partitions(weight: int, max_part: int,
                          max_length: Optional[int] = None) -> int:
     """Number of partitions of ``weight`` with parts <= max_part and at most
-    max_length rows.  Exact integer arithmetic, safe for weights in the
-    hundreds."""
+    max_length rows (any number when None).  Exact integer arithmetic."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    return _count_box(weight, max(max_part, 0), -1 if max_length is None else max_length)
+    if max_length is not None and max_length < 0:
+        raise ValueError("max_length must be nonnegative")
+    # box sides beyond ``top`` change no coefficient up to ``top``; rounding
+    # ``top`` up to a power of two lets nearby weights share one series
+    top = 1 << weight.bit_length()
+    sides = sorted(min(max(side, 0), top) for side in
+                   (max_part, top if max_length is None else max_length))
+    return _box_series(sides[0], sides[1], top)[weight]
 
 
 @lru_cache(maxsize=None)

@@ -91,6 +91,32 @@ def test_bad_parameters_exit_2(capsys):
     assert "ambient" in err
 
 
+@pytest.mark.parametrize("content", [None, "directory", "{not json",
+                                     '{"betti": [1]}', '{"dim": 1}', "[1, 2]"],
+                         ids=["missing", "directory", "invalid-json",
+                              "no-dim", "no-betti", "not-object"])
+def test_bad_ambient_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "space.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(ValueError):
+        parse_ambient(f"file:{path}")
+    code, out, err = run_cli(capsys, "betti", "general", "--ambient",
+                             f"file:{path}", "--e", "3", "--f", "3", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("degenloci: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("variant", ["chow", "verify"])
+def test_negative_p_max_exits_2(capsys, variant):
+    code, out, err = run_cli(capsys, "cells", variant, "--n", "5", "--d", "2",
+                             "--r", "2", "--p-max", "-1")
+    assert (code, out) == (2, "")
+    assert "p_max must be nonnegative" in err
+
+
 def test_missing_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "grassmannian", "--d", "2"])
@@ -145,6 +171,16 @@ def test_cache_stores_and_replays(capsys, tmp_path):
     assert code == 0
     assert json.loads(out3)["result"]["count"] == json.loads(out1)["result"]["count"]
     assert json.loads(files[0].read_text())["result"]["count"] == 7
+
+
+def test_unwritable_cache_dir_runs_uncached(capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = ("partitions", "count", "--weight", "6", "--max-part", "3",
+            "--format", "json")
+    _, fresh, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(blocker / "cache"))
+    assert (code, out, err) == (0, fresh, "")
 
 
 def test_cache_key_separates_commands(capsys, tmp_path):
@@ -224,6 +260,12 @@ def test_betti_pretty_shows_assumptions(capsys):
     assert code == 0
     assert "valid for degrees strictly below 9" in out
     assert "assuming: rank < r locus is empty" in out
+
+
+def test_partitions_count_large_weight(capsys):
+    code, out, _ = run_cli(capsys, "partitions", "count", "--weight", "250",
+                           "--max-part", "250")
+    assert (code, out) == (0, "230793554364681\n")
 
 
 def test_examples_csv(capsys):

@@ -153,6 +153,15 @@ def test_counts_reject_negative_weight():
         enumerate_strict_partitions(-2, 2)
 
 
+def test_box_counts_at_large_weights():
+    # p(250), the number of all partitions of 250
+    assert count_box_partitions(250, 250) == 230793554364681
+    assert count_box_partitions(1000, 2) == 501
+    assert count_box_partitions(400, 20, 20) == 1
+    with pytest.raises(ValueError):
+        count_box_partitions(3, 2, -1)
+
+
 @given(
     a=st.integers(min_value=0, max_value=7),
     b=st.integers(min_value=0, max_value=7),
