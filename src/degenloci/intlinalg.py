@@ -1,13 +1,24 @@
 """Exact linear algebra over the integers.
 
-Small dense routines used for graded ring tables: rank via fraction-free
-(Bareiss) elimination and elementary divisors via Smith reduction.  Inputs
-are lists of rows of Python ints; everything stays in exact arithmetic.
+Graded ring tables need, per graded piece, the rank of a relation matrix A,
+the torsion of its cokernel and a monomial basis of the quotient.
+:func:`cokernel` gets all three from one sparse pass that pivots only on
+entries +-1 (after Dumas, Saunders and Villard, "On efficient sparse
+integer matrix Smith normal form computations", J. Symbolic Comput. 32,
+2001).  Every operation of that pass is unimodular, so with k unit pivots
+
+    Smith(A) = I_k + Smith(residual),
+
+and the dense Smith reduction runs only on the small residual the pass
+leaves; an empty residual certifies that the cokernel is free.  Dense
+fraction-free (Bareiss) elimination and ranks modulo a prime remain as
+reference routines.  Inputs are lists of rows of Python ints; everything
+stays in exact arithmetic.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -197,57 +208,176 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-def _small_prime_factors(value: int, bound: int = 1_000_000) -> tuple[list[int], int]:
-    """Trial division: distinct primes up to the bound, plus any leftover."""
-    primes = []
-    for p in range(2, bound + 1):
-        if p * p > value:
-            break
-        if value % p == 0:
-            primes.append(p)
-            while value % p == 0:
-                value //= p
-    if 1 < value <= bound * bound:
-        primes.append(value)
-        value = 1
-    return primes, value
+def _sparse_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, int]]:
+    """Nonzero rows as ``{column: entry}`` dicts, rejecting rows that do not
+    have ``ncols`` entries."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        sparse = {j: int(v) for j, v in enumerate(row) if v}
+        if sparse:
+            out.append(sparse)
+    return out
+
+
+def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> None:
+    """``target -= factor * source`` in place, dropping entries that cancel."""
+    for j, v in source.items():
+        w = target.get(j, 0) - factor * v
+        if w:
+            target[j] = w
+        else:
+            del target[j]
+
+
+def _clear(row: dict[int, int], col: int, active: list[dict[int, int]],
+           pivots: dict[int, dict[int, int]], combine) -> list[dict[int, int]]:
+    """Record ``row`` as the pivot of ``col`` and clear ``col`` from every
+    other row with ``combine(other)``; returns the active rows that are
+    left nonzero."""
+    for other in pivots.values():
+        if col in other:
+            combine(other)
+    pivots[col] = row
+    left = []
+    for other in active:
+        if other is not row:
+            if col in other:
+                combine(other)
+            if other:
+                left.append(other)
+    return left
+
+
+def _pivot(row: dict[int, int], col: int, active: list[dict[int, int]],
+           pivots: dict[int, dict[int, int]]) -> list[dict[int, int]]:
+    """Make ``row`` the pivot of the unit in ``col``, scaled to +1, and
+    clear ``col`` by unimodular row subtractions."""
+    if row[col] < 0:
+        for j in row:
+            row[j] = -row[j]
+    return _clear(row, col, active, pivots,
+                  lambda other: _subtract(other, other[col], row))
+
+
+def _unit_pivots(rows: list[dict[int, int]]
+                 ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
+    """Gauss-Jordan elimination that pivots only on entries +-1.
+
+    Phase 1 sweeps the columns from last to first (in a lex-descending
+    monomial order the last column is the graded leading term) and takes
+    the sparsest row with a unit there; phase 2 then takes any unit left in
+    the residual, sparsest row first.  Returns the pivot rows keyed by
+    pivot column, each with entry +1 there and 0 in every other pivot
+    column, and the residual rows, which vanish in every pivot column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    active = rows
+    for col in range(max((max(row) for row in rows), default=-1), -1, -1):
+        best = None
+        for row in active:
+            if row.get(col) in (1, -1) and (best is None or len(row) < len(best)):
+                best = row
+        if best is not None:
+            active = _pivot(best, col, active, pivots)
+    while True:
+        best, best_col = None, -1
+        for row in active:
+            if best is not None and len(row) >= len(best):
+                continue
+            units = [j for j, v in row.items() if v in (1, -1)]
+            if units:
+                best, best_col = row, max(units)
+        if best is None:
+            return pivots, active
+        active = _pivot(best, best_col, active, pivots)
+
+
+def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
+    """The rows restricted to the columns some row touches."""
+    columns = sorted(set().union(*rows))
+    return [[row.get(j, 0) for j in columns] for row in rows]
+
+
+def _cancel(target: dict[int, int], col: int, source: dict[int, int]) -> None:
+    """Clear ``target[col]`` with a combination ``a*target - f*source``,
+    then divide out the content of what is left (fraction-free)."""
+    a, f = source[col], target[col]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    if a != 1:
+        for j in target:
+            target[j] *= a
+    _subtract(target, f, source)
+    content = gcd(*target.values())
+    if content > 1:
+        for j in target:
+            target[j] //= content
+
+
+def _gauss_jordan(rows: list[dict[int, int]], columns) -> dict[int, dict[int, int]]:
+    """Fraction-free Gauss-Jordan elimination taking pivots in the given
+    column order.  Returns the pivot rows keyed by pivot column, each zero
+    in every other pivot column; the pivot columns are the greedy column
+    basis for that order."""
+    pivots: dict[int, dict[int, int]] = {}
+    active = rows
+    for col in columns:
+        row = min((r for r in active if col in r), key=len, default=None)
+        if row is not None:
+            active = _clear(row, col, active, pivots,
+                            lambda other: _cancel(other, col, row))
+    return pivots
 
 
 def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
     """Elementary divisors greater than 1 (the torsion of the cokernel).
 
-    The gcd of all maximal-rank minors is the product of the elementary
-    divisors, so the cokernel is torsion-free exactly when that gcd is 1.
-    Each Bareiss run hands us one maximal minor for free (the last pivot),
-    and a few row/column shufflings usually drive the running gcd to 1.
-    When a stubborn factor survives, every torsion prime must divide it, so
-    a rank computation modulo each of its prime factors settles the
-    question.  Only when a modular rank actually drops, witnessing real
-    torsion, does the full Smith reduction run.
+    Certificate: the unit-pivot pass uses only unimodular row operations,
+    and clearing a +-1 pivot row is a unimodular column operation, so
+    Smith(A) = I_k + Smith(residual) with k the number of unit pivots.  The
+    torsion is therefore read off a Smith reduction of the residual alone,
+    and an empty residual is itself the proof that the cokernel is free.
     """
-    m = [list(map(int, row)) for row in rows if any(row)]
-    if not m:
-        return []
-    rank, _, minor = _echelon(m)
-    witness = abs(minor)
-    third = len(m) // 3 or 1
-    variants = (
-        m[::-1],
-        [row[::-1] for row in m],
-        [row[::-1] for row in m[::-1]],
-        m[third:] + m[:third],
-        [row[::-1] for row in m[third:] + m[:third]],
-    )
-    for shuffled in variants:
-        if witness == 1:
-            return []
-        rank2, _, minor2 = _echelon(shuffled)
-        if rank2 != rank:
-            raise ArithmeticError("rank changed under row reordering")
-        witness = gcd(witness, abs(minor2))
-    if witness == 1:
-        return []
-    primes, leftover = _small_prime_factors(witness)
-    if leftover == 1 and all(rank_mod_prime(m, p) == rank for p in primes):
-        return []
-    return [d for d in elementary_divisors(rows) if d > 1]
+    _, residual = _unit_pivots(_sparse_rows(rows, len(rows[0]) if rows else 0))
+    return [d for d in elementary_divisors(_dense(residual)) if d > 1]
+
+
+def cokernel(rows: Sequence[Sequence[int]], ncols: int
+             ) -> tuple[int, list[int], list[int]]:
+    """One elimination pass over the cokernel ``Z^ncols / rowspan``.
+
+    Returns (rank of the row span, torsion invariants, free columns).  Rank
+    and torsion come as in :func:`torsion_invariants`.  The free columns
+    are exactly the non-pivot columns of :func:`fraction_free_echelon`:
+    those are the complement of the left-greedy column basis, i.e. the
+    right-greedy basis of the dual matroid, whose columns are those of a
+    kernel basis.  The kernel is read off the residual, lifted through the
+    reduced pivot rows (``x_c = -sum r_c[j] x_j``) and eliminated from the
+    right; it has only ``ncols - rank`` rows.
+    """
+    pivots, residual = _unit_pivots(_sparse_rows(rows, ncols))
+    divisors = elementary_divisors(_dense(residual))
+    rank = len(pivots) + len(divisors)
+    # one kernel vector per non-pivot column f of the residual's reduction
+    reduced = _gauss_jordan(residual, sorted(set().union(*residual)))
+    scale = lcm(*(row[c] for c, row in reduced.items()))
+    kernel = []
+    for f in range(ncols):
+        if f in pivots or f in reduced:
+            continue
+        x = {f: scale}
+        for c, row in reduced.items():
+            if f in row:
+                x[c] = -scale * row[f] // row[c]
+        on_free = list(x.items())
+        for c, row in pivots.items():
+            lifted = -sum(row.get(j, 0) * v for j, v in on_free)
+            if lifted:
+                x[c] = lifted
+        kernel.append(x)
+    free = sorted(_gauss_jordan(kernel, range(ncols - 1, -1, -1)))
+    if len(free) != ncols - rank:
+        raise ArithmeticError("kernel basis does not match the rank")
+    return rank, [d for d in divisors if d > 1], free

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .chern import ChernPoly, Monomial, cgen, series_inverse
 from .errors import VerificationError
-from .intlinalg import fraction_free_echelon, torsion_invariants
+from .intlinalg import cokernel
 from .partitions import BoxConstraint, enumerate_box_partitions
 
 
@@ -197,14 +197,10 @@ def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
             continue
         q = p // 2
         rel_rows, monos = relation_rows(pres, q)
-        if rel_rows:
-            ideal_rank, pivots = fraction_free_echelon(rel_rows)
-            torsion = tuple(torsion_invariants(rel_rows))
-        else:
-            ideal_rank, torsion, pivots = 0, (), []
-        pivot_set = set(pivots)
-        basis = tuple(m for i, m in enumerate(monos) if i not in pivot_set)
-        rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank, torsion, basis))
+        ideal_rank, torsion, free = cokernel(rel_rows, len(monos))
+        basis = tuple(monos[i] for i in free)
+        rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank,
+                              tuple(torsion), basis))
     return GradedTable(pres.label, pres.params, up_to_degree, rows)
 
 

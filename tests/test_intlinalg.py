@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenloci.intlinalg import (
+    cokernel,
     elementary_divisors,
     fraction_free_echelon,
     integer_rank,
@@ -93,6 +94,10 @@ def test_ragged_matrix_rejected():
         integer_rank([[1, 2], [3]])
     with pytest.raises(ValueError):
         elementary_divisors([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        torsion_invariants([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        cokernel([[1, 2], [3, 4]], 3)
 
 
 @given(
@@ -193,3 +198,76 @@ def test_large_entries_stay_exact():
     assert integer_rank(rows) == 2
     assert elementary_divisors(rows) == [1, 1]
     assert torsion_invariants(rows) == []
+
+
+# ---------------------------------------------------------------------------
+# the unit-pivot cokernel pass against the dense reference routines
+
+
+def _matrices_over(entries):
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.sampled_from(entries), min_size=ncols, max_size=ncols),
+            min_size=0, max_size=6,
+        ).map(lambda rows: (rows, ncols))
+    )
+
+
+# units everywhere, units sparse among larger entries, and no unit at all
+# (then the whole matrix is the residual)
+cokernel_matrices = st.one_of(
+    _matrices_over([-1, 0, 0, 1]),
+    _matrices_over(list(range(-9, 10))),
+    _matrices_over([0, 0, 2, -2, 3, -4, 6]),
+)
+
+
+def _with_stacked_rows(rows):
+    """The rows followed by a duplicate, a negation and a sum of two of them:
+    the same row span, hence the same cokernel."""
+    if not rows:
+        return rows
+    first, last = rows[0], rows[-1]
+    return rows + [first, [-x for x in last], [x + y for x, y in zip(first, last)]]
+
+
+@settings(max_examples=300)
+@given(cokernel_matrices, st.booleans())
+def test_cokernel_matches_echelon_and_smith(case, stacked):
+    rows, ncols = case
+    if stacked:
+        rows = _with_stacked_rows(rows)
+    rank, torsion, free = cokernel(rows, ncols)
+    echelon_rank, pivots = fraction_free_echelon(rows)
+    assert rank == echelon_rank
+    assert free == [j for j in range(ncols) if j not in pivots]
+    divisors = elementary_divisors(rows)
+    assert torsion == [d for d in divisors if d > 1]
+    assert torsion_invariants(rows) == torsion
+
+
+@settings(max_examples=100, deadline=None)  # the first example imports sympy
+@given(cokernel_matrices)
+def test_cokernel_matches_sympy_smith_form(case):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    rows, ncols = case
+    if not rows:
+        return
+    snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
+    diagonal = [abs(snf[i, i]) for i in range(min(len(rows), ncols)) if snf[i, i]]
+    rank, torsion, _ = cokernel(rows, ncols)
+    assert rank == len(diagonal)
+    assert torsion == [d for d in diagonal if d > 1]
+
+
+def test_cokernel_known_cases():
+    assert cokernel([[2, 0], [0, 3]], 2) == (2, [6], [])
+    assert cokernel([[2, 4], [6, 8], [-2, -4], [8, 12]], 2) == (2, [2, 4], [])
+    assert cokernel([[2, 4, 0]], 3) == (1, [2], [1, 2])
+    assert cokernel([], 3) == (0, [], [0, 1, 2])
+    assert cokernel([[0, 0]], 2) == (0, [], [0, 1])
+    # pivots on units from the right, yet the free columns are those of
+    # left-to-right elimination
+    assert cokernel([[1, 1, 0], [0, 1, 1]], 3) == (2, [], [2])

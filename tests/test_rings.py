@@ -143,6 +143,25 @@ def test_table_vanishes_above_dimension():
     assert all(tbl.rank(degree) == 0 for degree in range(9, 15))
 
 
+def test_piece_with_a_residual_matches_dense_elimination():
+    # degree 34 of G(4,8) is one of the pieces where unit pivots run out
+    # and a Smith reduction of the residual certifies the torsion
+    from degenloci.intlinalg import (
+        _sparse_rows, _unit_pivots, elementary_divisors, fraction_free_echelon)
+
+    pres = grassmannian_presentation(4, 8)
+    rows, monos = relation_rows(pres, 17)
+    _, residual = _unit_pivots(_sparse_rows(rows, len(monos)))
+    assert residual
+    ideal_rank, pivots = fraction_free_echelon(rows)
+    assert not [d for d in elementary_divisors(rows) if d > 1]
+    row = graded_table(pres, 34).rows[34]
+    assert (row.num_monomials, row.rank, row.torsion) == (
+        len(monos), len(monos) - ideal_rank, ())
+    assert row.rank == count_in_box(17, 4, 4)
+    assert row.basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
+
+
 def test_basis_rows_match_rank():
     tbl = graded_table(grassmannian_presentation(2, 5), 12)
     for row in tbl.rows:
