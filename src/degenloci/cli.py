@@ -235,8 +235,9 @@ class Command:
     positional argument).  ``help`` is the top-level help, given on the
     first command of each group.  ``params`` maps parsed arguments to the
     envelope's parameters, by default one per argument; ``compute`` maps
-    those parameters to the JSON result.  Calculators are looked up by name
-    when ``compute`` runs, so patching this module's globals reaches them.
+    those parameters to the JSON result, an instance of ``returns``.
+    Calculators are looked up by name when ``compute`` runs, so patching
+    this module's globals reaches them.
     """
 
     name: str
@@ -247,6 +248,7 @@ class Command:
     help: Optional[str] = None
     params: Optional[Callable[[argparse.Namespace], dict]] = None
     nested: bool = True
+    returns: type = dict
 
     def parameters(self, args: argparse.Namespace) -> dict:
         if self.params is not None:
@@ -368,7 +370,7 @@ COMMANDS = (
             f"{rep['name']} {_example_parameters(rep)}: "
             + ("ok" if rep["match"] else f"FAILED: {rep['first_mismatch']}")
             for rep in result],
-        help="run the bundled worked examples"),
+        help="run the bundled worked examples", returns=list),
     Command(
         "verify all", (_arg("scope", choices=("all",)),),
         lambda p: _verify_all(),
@@ -415,6 +417,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replayable(envelope: dict, command: Command, params: dict) -> bool:
+    """Whether a cached envelope is one this run would have written; any
+    other entry is treated as a miss and recomputed."""
+    return (envelope.get("format_version") == FORMAT_VERSION
+            and envelope.get("command") == command.name
+            and envelope.get("parameters") == params
+            and isinstance(envelope.get("result"), command.returns))
+
+
 def _result_ok(result) -> bool:
     if isinstance(result, list):
         return all(_result_ok(item) for item in result)
@@ -442,6 +453,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     cache = ResultCache.from_environment(args.cache_dir)
     key = cache_key(command.name, params, FORMAT_VERSION)
     envelope = cache.load(key)
+    if envelope is not None and not _replayable(envelope, command, params):
+        envelope = None
     if envelope is None:
         try:
             result = command.compute(params)

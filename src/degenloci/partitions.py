@@ -153,12 +153,14 @@ def count_box_partitions(weight: int, max_part: int,
     max_length rows (any number when None).  Exact integer arithmetic."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
+    if max_part < 0:
+        raise ValueError("max_part must be nonnegative")
     if max_length is not None and max_length < 0:
         raise ValueError("max_length must be nonnegative")
     # box sides beyond ``top`` change no coefficient up to ``top``; rounding
     # ``top`` up to a power of two lets nearby weights share one series
     top = 1 << weight.bit_length()
-    sides = sorted(min(max(side, 0), top) for side in
+    sides = sorted(min(side, top) for side in
                    (max_part, top if max_length is None else max_length))
     return _box_series(sides[0], sides[1], top)[weight]
 

@@ -117,6 +117,13 @@ def test_negative_p_max_exits_2(capsys, variant):
     assert "p_max must be nonnegative" in err
 
 
+def test_negative_max_part_exits_2(capsys):
+    code, out, err = run_cli(capsys, "partitions", "count", "--weight", "6",
+                             "--max-part", "-2")
+    assert (code, out) == (2, "")
+    assert err == "degenloci: max_part must be nonnegative\n"
+
+
 def test_missing_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "grassmannian", "--d", "2"])
@@ -171,6 +178,34 @@ def test_cache_stores_and_replays(capsys, tmp_path):
     assert code == 0
     assert json.loads(out3)["result"]["count"] == json.loads(out1)["result"]["count"]
     assert json.loads(files[0].read_text())["result"]["count"] == 7
+
+
+_COUNT = ("partitions", "count", "--weight", "6", "--max-part", "3")
+_CORRUPTIONS = {
+    "empty": (_COUNT, lambda env: {}),
+    "null-result": (_COUNT, lambda env: {"result": None}),
+    "list-result": (_COUNT, lambda env: dict(env, result=[])),
+    "parameters": (_COUNT, lambda env: dict(
+        env, parameters=dict(env["parameters"], weight=7))),
+    "command": (_COUNT, lambda env: dict(env, command="partitions bijection")),
+    "format-version": (_COUNT, lambda env: dict(
+        env, format_version=FORMAT_VERSION + 1)),
+    "examples-dict-result": (("examples", "run", "segre"),
+                             lambda env: dict(env, result={})),
+}
+
+
+@pytest.mark.parametrize("argv, corrupt", _CORRUPTIONS.values(),
+                         ids=_CORRUPTIONS.keys())
+def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, argv, corrupt):
+    argv += ("--format", "json")
+    _, cold, _ = run_cli(capsys, *argv)
+    run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    [path] = tmp_path.glob("*.json")
+    path.write_text(json.dumps(corrupt(json.loads(cold))))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, cold, "")
+    assert json.loads(path.read_text()) == json.loads(cold)
 
 
 def test_unwritable_cache_dir_runs_uncached(capsys, tmp_path):
