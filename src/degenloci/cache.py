@@ -18,7 +18,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 ENV_CACHE_DIR = "DEGENLOCI_CACHE_DIR"
 
@@ -57,7 +57,9 @@ class ResultCache:
             return None
         return self.directory / f"{key}.json"
 
-    def load(self, key: str) -> Optional[dict]:
+    def load(self, key: str, accept: Callable[[dict], bool]) -> Optional[dict]:
+        """The entry stored under ``key`` if it is a JSON object that
+        ``accept`` takes; anything else counts as a miss."""
         path = self._path(key)
         if path is None:
             return None
@@ -65,9 +67,8 @@ class ResultCache:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict):
+            payload = None
+        if not isinstance(payload, dict) or not accept(payload):
             self.misses += 1
             return None
         self.hits += 1

@@ -17,13 +17,13 @@ resulting tables against the ambient ordinary Grassmannian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 from .partitions import count_box_partitions
 from .rings import graded_table, isotropic_dimension, isotropic_presentation
-from .tables import BettiTable
+from .tables import BettiTable, Record
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class OrbitSignature:
 
     def kernel_count(self, k: int) -> int:
         return sum(1 for x in self.jumps if x <= k)
-
-    def to_json_obj(self) -> dict:
-        return {"jumps": list(self.jumps)}
 
 
 def _pair_condition_ok(jumps: tuple[int, ...], k: int, r: int) -> bool:
@@ -200,27 +197,15 @@ def chow_ranks_decomposition(n: int, d: int, r: int,
 
 
 @dataclass
-class DegenerateRestrictionReport:
+class DegenerateRestrictionReport(Record):
     n: int
     d: int
     r: int
-    bound: int
+    bound: int = field(metadata={"json": "equality_bound"})
     rows: list[list[int]]  # [p, rank_locus, rank_ambient]
     histogram_matches: bool
     passed: bool
     first_violation: Optional[str] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "r": self.r,
-            "equality_bound": self.bound,
-            "rows": self.rows,
-            "histogram_matches": self.histogram_matches,
-            "passed": self.passed,
-            "first_violation": self.first_violation,
-        }
 
 
 def verify_restriction_bounds_degenerate(n: int, d: int, r: int,

@@ -14,6 +14,7 @@ of cohomological degree 2i; indices outside the list are read as zero and
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
@@ -21,6 +22,7 @@ Monomial = tuple[tuple[str, int], ...]
 _GEN_RE = re.compile(r"([A-Za-z]+)([0-9]+)$")
 
 
+@lru_cache(maxsize=1024)  # a few names recur in every monomial product
 def generator_degree(name: str) -> int:
     """Cohomological degree of a generator: ``c3`` -> 6, ``s1`` -> 2."""
     m = _GEN_RE.match(name)

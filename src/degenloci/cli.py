@@ -452,9 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     cache = ResultCache.from_environment(args.cache_dir)
     key = cache_key(command.name, params, FORMAT_VERSION)
-    envelope = cache.load(key)
-    if envelope is not None and not _replayable(envelope, command, params):
-        envelope = None
+    envelope = cache.load(key, lambda env: _replayable(env, command, params))
     if envelope is None:
         try:
             result = command.compute(params)

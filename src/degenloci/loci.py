@@ -23,11 +23,11 @@ from math import comb
 from typing import Callable, Optional, Union
 
 from .partitions import count_box_partitions, count_strict_partitions
-from .tables import BettiTable
+from .tables import BettiTable, Record
 
 
 @dataclass(frozen=True)
-class AmbientData:
+class AmbientData(Record):
     """Dimension and integral Betti numbers of the ambient space."""
 
     dim: int
@@ -67,9 +67,6 @@ class AmbientData:
         if g < 0:
             raise ValueError("g must be nonnegative")
         return cls(g, tuple(comb(2 * g, p) for p in range(2 * g + 1)))
-
-    def to_json_obj(self) -> dict:
-        return {"dim": self.dim, "betti": list(self.betti)}
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,7 @@ def max_lefschetz_skew(dim_x: int, e: int, r: int) -> Optional[int]:
 
 
 @dataclass
-class ThresholdsReport:
+class ThresholdsReport(Record):
     setup: MorphismSetup
     dim_x: int
     expected_dimension: int
@@ -203,19 +200,6 @@ class ThresholdsReport:
     connectivity_offset: int
     connected_if_dim_above: int
     notes: tuple[str, ...] = ()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "setup": self.setup.to_json_obj(),
-            "dim_x": self.dim_x,
-            "expected_dimension": self.expected_dimension,
-            "expected_codimension": self.expected_codimension,
-            "epsilon_table": self.epsilon_table,
-            "max_lefschetz": self.max_lefschetz,
-            "connectivity_offset": self.connectivity_offset,
-            "connected_if_dim_above": self.connected_if_dim_above,
-            "notes": list(self.notes),
-        }
 
 
 def thresholds_report(setup: MorphismSetup, dim_x: int) -> ThresholdsReport:
@@ -267,7 +251,7 @@ def thresholds_report(setup: MorphismSetup, dim_x: int) -> ThresholdsReport:
 
 
 @dataclass
-class GrowthReport:
+class GrowthReport(Record):
     checked: dict[str, int] = field(default_factory=dict)
     passed: bool = True
     failure: Optional[str] = None
@@ -276,10 +260,6 @@ class GrowthReport:
         self.passed = False
         if self.failure is None:
             self.failure = msg
-
-    def to_json_obj(self) -> dict:
-        return {"checked": dict(sorted(self.checked.items())),
-                "passed": self.passed, "failure": self.failure}
 
 
 def _allowance_holds(kind: str, t: int) -> bool:

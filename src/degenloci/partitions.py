@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+from .tables import Record
+
 
 def _normalize(parts: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(p) for p in parts if p != 0)
@@ -57,9 +59,6 @@ class Partition:
             return Partition()
         cols = [sum(1 for p in self.parts if p > j) for j in range(self.parts[0])]
         return Partition(cols)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -210,7 +209,7 @@ def split_doubled(nu: Partition) -> tuple[StrictPartition, Partition]:
 
 
 @dataclass
-class DoublingReport:
+class DoublingReport(Record):
     """Outcome of a doubling-bijection verification sweep."""
 
     q_max: int
@@ -219,16 +218,6 @@ class DoublingReport:
     pairs_checked: int
     passed: bool
     failure: Optional[str] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "q_max": self.q_max,
-            "max_part": self.max_part,
-            "weights_checked": self.weights_checked,
-            "pairs_checked": self.pairs_checked,
-            "passed": self.passed,
-            "failure": self.failure,
-        }
 
 
 def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:

@@ -17,13 +17,14 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .chern import ChernPoly, Monomial, cgen, series_inverse
 from .errors import VerificationError
 from .intlinalg import cokernel
 from .partitions import BoxConstraint, enumerate_box_partitions
+from .tables import Record
 
 
 def grassmannian_dimension(d: int, n: int) -> int:
@@ -47,18 +48,6 @@ class RingPresentation:
     @property
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(2 * i for i in range(1, self.num_generators + 1))
-
-    def param(self, name: str) -> int:
-        return dict(self.params)[name]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "params": {k: v for k, v in self.params},
-            "num_generators": self.num_generators,
-            "generator_degrees": list(self.generator_degrees),
-            "relations": [rel.to_json_obj() for rel in self.relations],
-        }
 
 
 def grassmannian_presentation(d: int, n: int) -> RingPresentation:
@@ -134,18 +123,18 @@ def relation_rows(pres: RingPresentation, q: int,
 
 
 @dataclass
-class GradedRow:
+class GradedRow(Record):
     degree: int
-    num_monomials: int
+    num_monomials: int = field(metadata={"json": "monomials"})
     rank: int
     torsion: tuple[int, ...]
     basis: tuple[Monomial, ...]
 
 
 @dataclass
-class GradedTable:
+class GradedTable(Record):
     label: str
-    params: tuple[tuple[str, int], ...]
+    params: dict[str, int]
     max_degree: int
     rows: list[GradedRow]
 
@@ -159,30 +148,6 @@ class GradedTable:
 
     def torsion_free(self) -> bool:
         return all(not row.torsion for row in self.rows)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "params": {k: v for k, v in self.params},
-            "max_degree": self.max_degree,
-            "rows": [
-                {
-                    "degree": row.degree,
-                    "monomials": row.num_monomials,
-                    "rank": row.rank,
-                    "torsion": list(row.torsion),
-                    "basis": [[[name, e] for name, e in mon] for mon in row.basis],
-                }
-                for row in self.rows
-            ],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["degree,rank,torsion"]
-        for row in self.rows:
-            tor = ";".join(str(t) for t in row.torsion)
-            lines.append(f"{row.degree},{row.rank},{tor}")
-        return "\n".join(lines) + "\n"
 
 
 def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
@@ -201,7 +166,7 @@ def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
         basis = tuple(monos[i] for i in free)
         rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank,
                               tuple(torsion), basis))
-    return GradedTable(pres.label, pres.params, up_to_degree, rows)
+    return GradedTable(pres.label, dict(pres.params), up_to_degree, rows)
 
 
 def restriction_containment(d: int, r: int) -> bool:
@@ -238,44 +203,25 @@ def restriction_containment(d: int, r: int) -> bool:
 
 
 @dataclass
-class RestrictionRow:
+class RestrictionRow(Record):
     half_degree: int
     rank_source: int
     rank_target: int
     surjective: bool
     injective: bool
+    bijective: bool = field(init=False)
 
-    @property
-    def bijective(self) -> bool:
-        return self.surjective and self.injective
+    def __post_init__(self):
+        self.bijective = self.surjective and self.injective
 
 
 @dataclass
-class RestrictionReport:
+class RestrictionReport(Record):
     d: int
     r: int
-    bound: int
-    rows: list[RestrictionRow]
+    bound: int = field(metadata={"json": "bijective_bound"})
     first_non_bijective: Optional[int]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "bijective_bound": self.bound,
-            "first_non_bijective": self.first_non_bijective,
-            "rows": [
-                {
-                    "half_degree": row.half_degree,
-                    "rank_source": row.rank_source,
-                    "rank_target": row.rank_target,
-                    "surjective": row.surjective,
-                    "injective": row.injective,
-                    "bijective": row.bijective,
-                }
-                for row in self.rows
-            ],
-        }
+    rows: list[RestrictionRow]
 
 
 def restriction_report(d: int, n: int, r: int,
@@ -313,4 +259,4 @@ def restriction_report(d: int, n: int, r: int,
         if not row.bijective and (p <= bound or d <= 1):
             raise VerificationError(
                 f"expected bijectivity at half-degree {p} (bound {bound}, d={d})")
-    return RestrictionReport(d, r, bound, rows, first_bad)
+    return RestrictionReport(d, r, bound, first_bad, rows)

@@ -1,11 +1,36 @@
-"""Degree-indexed rank tables with an explicit validity range."""
+"""Result records and degree-indexed rank tables.
+
+The calculators' reports are :class:`Record` dataclasses whose JSON form
+is their fields, in order, so each report's shape is declared once.
+:class:`BettiTable` holds ranks indexed by degree with an explicit
+validity range.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import OutsideValidityError
+
+
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if hasattr(value, "to_json_obj"):
+        return value.to_json_obj()
+    return value
+
+
+class Record:
+    """Dataclass mixin that serializes each field under its name, or under
+    the key given as ``field(metadata={"json": key})``."""
+
+    def to_json_obj(self) -> dict:
+        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name))
+                for f in fields(self)}
 
 
 @dataclass
@@ -50,9 +75,3 @@ class BettiTable:
             "betti": self.as_pairs(),
             "assumptions": list(self.assumptions),
         }
-
-    def to_csv(self) -> str:
-        lines = ["degree,rank"]
-        for p, b in self.as_pairs():
-            lines.append(f"{p},{b}")
-        return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from degenloci import FORMAT_VERSION
+from degenloci.cache import ResultCache
 from degenloci.cli import main, parse_ambient
 from degenloci.errors import VerificationError
 
@@ -195,17 +196,42 @@ _CORRUPTIONS = {
 }
 
 
+def _capture_caches(monkeypatch) -> list:
+    """Record every cache a CLI run builds, to read its hit counters."""
+    caches = []
+    build = ResultCache.from_environment
+
+    def capture(override=None):
+        caches.append(build(override))
+        return caches[-1]
+
+    monkeypatch.setattr(ResultCache, "from_environment", capture)
+    return caches
+
+
 @pytest.mark.parametrize("argv, corrupt", _CORRUPTIONS.values(),
                          ids=_CORRUPTIONS.keys())
-def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, argv, corrupt):
+def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
+                                             argv, corrupt):
     argv += ("--format", "json")
     _, cold, _ = run_cli(capsys, *argv)
     run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     [path] = tmp_path.glob("*.json")
     path.write_text(json.dumps(corrupt(json.loads(cold))))
+    caches = _capture_caches(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, cold, "")
+    assert (caches[-1].hits, caches[-1].misses) == (0, 1)
     assert json.loads(path.read_text()) == json.loads(cold)
+
+
+def test_valid_cache_entry_counts_one_hit(capsys, tmp_path, monkeypatch):
+    argv = _COUNT + ("--format", "json", "--cache-dir", str(tmp_path))
+    caches = _capture_caches(monkeypatch)
+    _, cold, _ = run_cli(capsys, *argv)
+    code, warm, _ = run_cli(capsys, *argv)
+    assert (code, warm) == (0, cold)
+    assert [(c.hits, c.misses) for c in caches] == [(0, 1), (1, 0)]
 
 
 def test_unwritable_cache_dir_runs_uncached(capsys, tmp_path):

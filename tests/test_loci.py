@@ -396,5 +396,3 @@ def test_betti_table_serialization():
     assert obj["valid_below"] == table.valid_below
     assert obj["betti"] == table.as_pairs()
     assert "rank < r locus is empty" in obj["assumptions"]
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "degree,rank"

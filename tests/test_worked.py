@@ -152,7 +152,7 @@ def test_brill_noether_preconditions():
 
 
 def test_run_examples_all_pass():
-    reports = run_examples(strict=True)
+    reports = run_examples()
     assert len(reports) == len(DEFAULT_RUNS)
     assert all(rep.match for rep in reports)
     for rep in reports:
