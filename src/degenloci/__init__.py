@@ -24,6 +24,7 @@ from .cells import (
     OrbitSignature,
     cell_histogram,
     chow_ranks_decomposition,
+    enumerate_cells,
     enumerate_orbit_signatures,
     orbit_dimension,
     verify_restriction_bounds_degenerate,
@@ -99,6 +100,7 @@ __all__ = [
     "count_box_partitions",
     "count_strict_partitions",
     "enumerate_box_partitions",
+    "enumerate_cells",
     "enumerate_orbit_signatures",
     "enumerate_strict_partitions",
     "expected_codimension_orthogonal",

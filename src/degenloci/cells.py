@@ -13,10 +13,23 @@ a correction term mixing the blocks.  The additive Chow ranks decompose over
 the kernel incidence c, with the two block factors contributing
 multiplicatively; :func:`verify_restriction_bounds_degenerate` checks the
 resulting tables against the ambient ordinary Grassmannian.
+
+:func:`enumerate_cells` lists every nonempty cell with its dimension in one
+recursion over jump sequences.  It validates the space once, then carries
+both the pair condition and the dimension down the recursion: a table of
+the quotient positions used so far refuses a position q as soon as
+``2r+1-q`` is taken, and the dimension grows by each jump's term of the closed form
+(kernel jump x at kernel index c adds ``x - c - 1``; quotient position q at
+upper index u adds ``q - u - 1`` minus the earlier upper positions b with
+``b + q > 2r + 1``; the leaf adds the mixed term ``(k - c)(d - c)``).
+:class:`OrbitSignature`, :func:`is_admissible` and :func:`orbit_dimension`
+remain the validating reference for a single cell, against which the tests
+check the enumeration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -51,13 +64,9 @@ class OrbitSignature:
 
 
 def _pair_condition_ok(jumps: tuple[int, ...], k: int, r: int) -> bool:
-    quotient = [x - k for x in jumps if x > k]
-    # i = j included for faithfulness; an even number never equals 2r+1
-    for a in range(len(quotient)):
-        for b in range(a, len(quotient)):
-            if quotient[a] + quotient[b] == 2 * r + 1:
-                return False
-    return True
+    quotient = {x - k for x in jumps if x > k}
+    # q == 2r+1-q never holds, so a position cannot pair with itself
+    return all(2 * r + 1 - q not in quotient for q in quotient)
 
 
 def _validate_p_max(p_max: Optional[int]) -> None:
@@ -74,23 +83,46 @@ def _validate_space(n: int, d: int, r: int) -> int:
     return k
 
 
-def enumerate_orbit_signatures(n: int, d: int, r: int) -> list[OrbitSignature]:
-    """All nonempty cells, in lexicographic order of jump sequences."""
+def enumerate_cells(n: int, d: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """``(jumps, dimension)`` of every nonempty cell, in lexicographic order
+    of jump sequences; the dimension is that of :func:`orbit_dimension`."""
     k = _validate_space(n, d, r)
-    out: list[OrbitSignature] = []
+    pair = 2 * r + 1
+    out: list[tuple[tuple[int, ...], int]] = []
+    chosen: list[int] = []
+    upper: list[int] = []            # quotient positions chosen, increasing
+    used = [False] * (pair + 1)      # used[q]: quotient position q chosen
 
-    def rec(start: int, chosen: list[int]) -> None:
-        if len(chosen) == d:
-            out.append(OrbitSignature(tuple(chosen)))
+    def rec(start: int, c: int, dim: int) -> None:
+        depth = len(chosen)
+        if depth == d:
+            out.append((tuple(chosen), dim + (k - c) * (d - c)))
             return
-        for x in range(start, n - (d - len(chosen)) + 2):
+        for x in range(start, n - (d - depth) + 2):
+            q = x - k
             chosen.append(x)
-            if _pair_condition_ok(tuple(chosen), k, r):
-                rec(x + 1, chosen)
+            if q <= 0:
+                rec(x + 1, c + 1, dim + x - c - 1)
+            elif not used[pair - q]:
+                u = len(upper)
+                crossing = u - bisect_right(upper, pair - q)
+                used[q] = True
+                upper.append(q)
+                rec(x + 1, c, dim + q - u - 1 - crossing)
+                upper.pop()
+                used[q] = False
             chosen.pop()
 
-    rec(1, [])
+    rec(1, 0, 0)
+    # rec refers to itself through its closure; unbinding it breaks that
+    # cycle, so the cells are freed as soon as the caller drops them
+    del rec
     return out
+
+
+def enumerate_orbit_signatures(n: int, d: int, r: int) -> list[OrbitSignature]:
+    """All nonempty cells, in lexicographic order of jump sequences."""
+    return [OrbitSignature(jumps) for jumps, _ in enumerate_cells(n, d, r)]
 
 
 def is_admissible(sig: OrbitSignature, n: int, d: int, r: int) -> bool:
@@ -143,8 +175,7 @@ def orbit_dimension(sig: OrbitSignature, n: int, d: int, r: int) -> int:
 def cell_histogram(n: int, d: int, r: int) -> dict[int, int]:
     """Number of cells of each dimension, by direct enumeration."""
     hist: dict[int, int] = {}
-    for sig in enumerate_orbit_signatures(n, d, r):
-        p = orbit_dimension(sig, n, d, r)
+    for _, p in enumerate_cells(n, d, r):
         hist[p] = hist.get(p, 0) + 1
     return hist
 

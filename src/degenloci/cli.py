@@ -24,8 +24,7 @@ from typing import Any, Callable, Optional
 from . import FORMAT_VERSION, __version__
 from .cache import ResultCache, cache_key
 from .cells import cell_histogram, chow_ranks_decomposition, \
-    enumerate_orbit_signatures, orbit_dimension, \
-    verify_restriction_bounds_degenerate
+    enumerate_cells, verify_restriction_bounds_degenerate
 from .errors import OutsideValidityError, VerificationError
 from .loci import AmbientData, MorphismSetup, betti_degeneracy, \
     betti_orthogonal_special, betti_skew, thresholds_report, \
@@ -83,13 +82,12 @@ def parse_ambient(spec: str) -> AmbientData:
 
 def _cells_enumerate(p: dict) -> dict:
     n, d, r = p["n"], p["d"], p["r"]
-    sigs = enumerate_orbit_signatures(n, d, r)
+    cells = enumerate_cells(n, d, r)
     return {
         "n": n, "d": d, "r": r,
-        "cells": [{"jumps": list(sig.jumps),
-                   "dimension": orbit_dimension(sig, n, d, r)}
-                  for sig in sigs],
-        "total": len(sigs),
+        "cells": [{"jumps": list(jumps), "dimension": dim}
+                  for jumps, dim in cells],
+        "total": len(cells),
     }
 
 

@@ -8,6 +8,7 @@ the contract: serialized output must be reproducible byte for byte.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -17,9 +18,9 @@ from .tables import Record
 
 def _normalize(parts: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(p) for p in parts if p != 0)
-    if any(p < 0 for p in out):
+    if min(out, default=0) < 0:
         raise ValueError(f"negative part in {parts!r}")
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    if any(map(operator.lt, out, out[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
     return out
 
@@ -78,7 +79,7 @@ class StrictPartition(Partition):
     def __init__(self, parts: Sequence[int] = ()):
         super().__init__(parts)
         ps = self.parts
-        if any(ps[i] == ps[i + 1] for i in range(len(ps) - 1)):
+        if any(map(operator.eq, ps, ps[1:])):
             raise ValueError(f"parts not strictly decreasing: {parts!r}")
 
 
@@ -108,6 +109,9 @@ def enumerate_box_partitions(weight: int, box: BoxConstraint) -> list[Partition]
             prefix.pop()
 
     rec(weight, box.max_part, box.max_length, [])
+    # rec refers to itself through its closure; unbinding it breaks that
+    # cycle, so the partitions are freed as soon as the caller drops them
+    del rec
     return out
 
 
@@ -224,6 +228,7 @@ def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
     """Check the cardinality identity and the merge/split round trip for every
     weight up to ``q_max`` with parts bounded by ``max_part``."""
     pairs = 0
+    box = BoxConstraint(max_part)
     for w in range(q_max + 1):
         lhs = count_box_partitions(w, max_part)
         rhs = 0
@@ -240,8 +245,9 @@ def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
             t, rem = divmod(w - s, 2)
             if rem:
                 continue
+            lams = enumerate_box_partitions(t, box)
             for mu in enumerate_strict_partitions(s, max_part):
-                for lam in enumerate_box_partitions(t, BoxConstraint(max_part)):
+                for lam in lams:
                     nu = merge_doubled(lam, mu)
                     pairs += 1
                     if nu.weight != w:

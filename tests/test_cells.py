@@ -1,6 +1,7 @@
 """Cell decomposition of degenerate isotropic Grassmannians."""
 
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from degenloci.cells import (
     OrbitSignature,
     cell_histogram,
+    _pair_condition_ok,
     chow_ranks_decomposition,
+    enumerate_cells,
     enumerate_orbit_signatures,
     grassmann_cell_dimension,
     is_admissible,
@@ -38,6 +41,14 @@ def count_strict_bounded(weight, max_part):
         return 0
     with_top = count_strict_bounded(weight - max_part, max_part - 1) if weight >= max_part else 0
     return with_top + count_strict_bounded(weight, max_part - 1)
+
+
+def pairwise_ok(jumps, k, r):
+    """The pair condition written out: no two quotient positions, equal or
+    not, sum to 2r + 1."""
+    quotient = [x - k for x in jumps if x > k]
+    return all(a + b != 2 * r + 1
+               for i, a in enumerate(quotient) for b in quotient[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +107,47 @@ def test_enumeration_order_and_exclusions():
     assert not is_admissible(OrbitSignature((3, 4)), 5, 2, 2)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_enumerate_cells_matches_brute_force(n):
+    for r in range(n // 2 + 1):
+        k = n - 2 * r
+        for d in range(k + r + 1):
+            expected = [(jumps, orbit_dimension(OrbitSignature(jumps), n, d, r))
+                        for jumps in combinations(range(1, n + 1), d)
+                        if pairwise_ok(jumps, k, r)]
+            assert enumerate_cells(n, d, r) == expected, (n, d, r)
+
+
+@st.composite
+def jumps_in_a_space(draw):
+    r = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=8))
+    n = k + 2 * r
+    # one position past n, so that out-of-range signatures are drawn too
+    jumps = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=n + 1),
+                                      max_size=k + r))))
+    return n, k, r, jumps
+
+
+@settings(max_examples=300, deadline=None)
+@given(jumps_in_a_space())
+def test_pair_condition_matches_pairwise_definition(space):
+    n, k, r, jumps = space
+    expected = pairwise_ok(jumps, k, r)
+    assert _pair_condition_ok(jumps, k, r) == expected
+    in_range = not jumps or jumps[-1] <= n
+    assert is_admissible(OrbitSignature(jumps), n, len(jumps), r) \
+        == (expected and in_range)
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         enumerate_orbit_signatures(3, 1, 2)        # 2r > n
     with pytest.raises(ValueError):
         enumerate_orbit_signatures(4, 4, 2)        # d > k + r
+    for bad in ((3, 1, 2), (4, 4, 2), (-1, 0, 0), (4, -1, 1)):
+        with pytest.raises(ValueError):
+            enumerate_cells(*bad)
     with pytest.raises(ValueError):
         orbit_dimension(OrbitSignature((2, 5)), 5, 2, 2)
     with pytest.raises(ValueError):

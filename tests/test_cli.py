@@ -1,11 +1,14 @@
 """Command-line interface: envelopes, exit codes, caching, rendering."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from degenloci import FORMAT_VERSION
 from degenloci.cache import ResultCache
@@ -130,6 +133,54 @@ def test_missing_arguments_exit_via_argparse(capsys):
         main(["ring", "grassmannian", "--d", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+_SMALL = st.integers(min_value=-3, max_value=9)
+# flags of each fuzzed command, each with the values drawn for it
+_FUZZED = {
+    ("cells", "enumerate"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL},
+    ("cells", "verify"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL,
+                          "--p-max": _SMALL},
+    ("cells", "chow"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL,
+                        "--p-max": _SMALL},
+    ("partitions", "count"): {"--weight": st.integers(-3, 40),
+                              "--max-part": _SMALL, "--max-length": _SMALL},
+    ("partitions", "bijection"): {"--q-max": st.integers(-3, 14),
+                                  "--max-part": _SMALL},
+    ("ring", "isotropic"): {"--d": st.integers(-2, 4), "--r": st.integers(-2, 4),
+                            "--max-degree": st.integers(-3, 12)},
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED)))
+    argv = list(command)
+    for flag, values in _FUZZED[command].items():
+        # a dropped flag exercises argparse's missing-argument error
+        if draw(st.integers(0, 9)):
+            argv += [flag, str(draw(values))]
+    return argv + ["--format", draw(st.sampled_from(("json", "csv", "pretty")))]
+
+
+# the fixture only clears the cache variable, the same for every example
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_argv())
+def test_fuzzed_commands_exit_cleanly(monkeypatch, argv):
+    monkeypatch.delenv("DEGENLOCI_CACHE_DIR", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("degenloci: ")
+        assert len(err.getvalue().splitlines()) == 1, argv
 
 
 def test_verification_failure_exit_3(capsys, monkeypatch):

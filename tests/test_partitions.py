@@ -62,10 +62,15 @@ def test_partition_drops_zero_parts():
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    with pytest.raises(ValueError):
-        Partition([3, -1])
+    # a negative part is reported before an order error
+    for parts, message in (
+            ([1, 2], "parts not weakly decreasing: [1, 2]"),
+            ([3, -1], "negative part in [3, -1]"),
+            ([-1, 2], "negative part in [-1, 2]"),
+            ([2, 2, 3], "parts not weakly decreasing: [2, 2, 3]")):
+        with pytest.raises(ValueError) as exc:
+            Partition(parts)
+        assert str(exc.value) == message
 
 
 def test_partition_is_immutable():
@@ -95,6 +100,9 @@ def test_conjugate_is_an_involution(parts):
 def test_strict_partition_rejects_repeats():
     with pytest.raises(ValueError):
         StrictPartition([3, 3, 1])
+    with pytest.raises(ValueError) as exc:
+        StrictPartition([2, 2])
+    assert str(exc.value) == "parts not strictly decreasing: [2, 2]"
     assert StrictPartition([3, 1]).parts == (3, 1)
 
 
@@ -234,6 +242,12 @@ def test_doubling_sweep_passes():
     assert report.weights_checked == 13
     obj = report.to_json_obj()
     assert obj["passed"] and obj["q_max"] == 12
+
+
+def test_doubling_sweep_pair_count_is_frozen():
+    report = verify_doubling_bijection(32, 8)
+    assert report.passed
+    assert (report.weights_checked, report.pairs_checked) == (33, 21402)
 
 
 def test_doubling_report_carries_witness_on_failure():
