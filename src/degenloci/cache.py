@@ -81,12 +81,14 @@ class ResultCache:
         # write-then-rename so a second process never sees a torn file; a
         # directory that cannot be written leaves the run uncached.  Keys
         # keep their order so a replayed result renders like a fresh one.
+        # json.dump writes through the pure-Python encoder; dumps uses the
+        # C encoder and gives the same bytes.
         temp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(temp_name, path)
         except OSError:
             if temp_name is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .tables import Record
@@ -183,6 +184,18 @@ def count_strict_partitions(weight: int, max_part: int) -> int:
     return total
 
 
+def _valid_by_construction(cls, parts: list[int]):
+    """A ``cls`` holding ``parts`` without a second ``_normalize`` pass.
+
+    Only :func:`merge_doubled` and :func:`split_doubled` use this: they
+    rearrange the parts of already validated partitions, so their parts are
+    positive ints, in decreasing order, and distinct where ``cls`` is strict.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "parts", tuple(parts))
+    return obj
+
+
 def merge_doubled(lam: Partition, mu: StrictPartition) -> Partition:
     """Interleave two copies of every part of ``lam`` with the parts of ``mu``.
 
@@ -191,9 +204,9 @@ def merge_doubled(lam: Partition, mu: StrictPartition) -> Partition:
     ``#{partitions of w, parts <= r} = sum over w = s + 2t of
     #{strict partitions of s} * #{partitions of t}`` (parts <= r throughout).
     """
-    doubled = [p for p in lam for _ in (0, 1)]
-    merged = sorted(list(mu.parts) + doubled, reverse=True)
-    return Partition(merged)
+    merged = [*mu.parts, *lam.parts, *lam.parts]
+    merged.sort(reverse=True)
+    return _valid_by_construction(Partition, merged)
 
 
 def split_doubled(nu: Partition) -> tuple[StrictPartition, Partition]:
@@ -204,12 +217,13 @@ def split_doubled(nu: Partition) -> tuple[StrictPartition, Partition]:
     """
     mu: list[int] = []
     lam: list[int] = []
-    for p in sorted(set(nu.parts), reverse=True):
-        m = nu.parts.count(p)
+    for p, run in groupby(nu.parts):
+        m = len(list(run))
         if m % 2 == 1:
             mu.append(p)
-        lam.extend([p] * (m // 2))
-    return StrictPartition(mu), Partition(sorted(lam, reverse=True))
+        lam += [p] * (m // 2)
+    return (_valid_by_construction(StrictPartition, mu),
+            _valid_by_construction(Partition, lam))
 
 
 @dataclass
@@ -227,6 +241,8 @@ class DoublingReport(Record):
 def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
     """Check the cardinality identity and the merge/split round trip for every
     weight up to ``q_max`` with parts bounded by ``max_part``."""
+    if q_max < 0:
+        raise ValueError("q_max must be nonnegative")
     pairs = 0
     box = BoxConstraint(max_part)
     for w in range(q_max + 1):

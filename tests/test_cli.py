@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from degenloci import FORMAT_VERSION
 from degenloci.cache import ResultCache
-from degenloci.cli import main, parse_ambient
+from degenloci.cli import _cells_enumerate, _json_text, main, parse_ambient
 from degenloci.errors import VerificationError
 
 
@@ -126,6 +126,13 @@ def test_negative_max_part_exits_2(capsys):
                              "--max-part", "-2")
     assert (code, out) == (2, "")
     assert err == "degenloci: max_part must be nonnegative\n"
+
+
+def test_negative_q_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "partitions", "bijection", "--q-max", "-3",
+                             "--max-part", "2")
+    assert (code, out) == (2, "")
+    assert err == "degenloci: q_max must be nonnegative\n"
 
 
 def test_missing_arguments_exit_via_argparse(capsys):
@@ -295,6 +302,22 @@ def test_unwritable_cache_dir_runs_uncached(capsys, tmp_path):
     assert (code, out, err) == (0, fresh, "")
 
 
+def test_cache_entry_is_compact_json(capsys, tmp_path):
+    argv = ("cells", "enumerate", "--n", "9", "--d", "3", "--r", "2",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the envelope as main builds it, in insertion order: these are the
+    # bytes json.dump wrote before the entry went through json.dumps
+    envelope = {"format_version": FORMAT_VERSION, "command": "cells enumerate",
+                "parameters": {"n": 9, "d": 3, "r": 2},
+                "result": _cells_enumerate({"n": 9, "d": 3, "r": 2})}
+    [path] = tmp_path.glob("*.json")
+    assert path.read_bytes() == json.dumps(envelope).encode("utf-8")
+    code, warm, _ = run_cli(capsys, *argv)
+    assert (code, warm) == (0, cold)
+
+
 def test_cache_key_separates_commands(capsys, tmp_path):
     run_cli(capsys, "partitions", "count", "--weight", "6", "--max-part", "3",
             "--cache-dir", str(tmp_path))
@@ -318,6 +341,33 @@ def test_cache_env_var_and_override(capsys, tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+_TEXT = st.text(st.characters(blacklist_categories=())
+                | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600'
+                                  '\ud800\udfff'))
+_JSON_TREES = st.recursive(
+    st.integers() | st.integers(-10 ** 1000, 10 ** 1000) | st.booleans()
+    | st.none() | _TEXT | st.floats(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.lists(st.integers()) | st.dictionaries(_TEXT, children)
+    | st.dictionaries(st.integers(), children),
+    max_leaves=25)
+
+
+@settings(max_examples=200)
+@given(_JSON_TREES)
+def test_json_text_matches_stdlib(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_output_matches_stdlib(capsys):
+    code, out, _ = run_cli(capsys, "cells", "enumerate", "--n", "12", "--d", "4",
+                           "--r", "2", "--format", "json")
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["result"]["total"] > 100
+    assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def test_restriction_pretty(capsys):

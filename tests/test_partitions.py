@@ -235,6 +235,49 @@ def test_merge_inverts_split(parts):
     assert merge_doubled(lam, mu) == nu
 
 
+def _merge_reference(lam, mu):
+    """merge_doubled as first written: sort, then validate a new Partition."""
+    doubled = [p for p in lam for _ in (0, 1)]
+    return Partition(sorted(list(mu.parts) + doubled, reverse=True))
+
+
+def _split_reference(nu):
+    """split_doubled as first written: count each distinct part, validate."""
+    mu, lam = [], []
+    for p in sorted(set(nu.parts), reverse=True):
+        m = nu.parts.count(p)
+        if m % 2 == 1:
+            mu.append(p)
+        lam.extend([p] * (m // 2))
+    return StrictPartition(mu), Partition(sorted(lam, reverse=True))
+
+
+def _assert_validated(result, cls):
+    assert type(result) is cls
+    assert type(result.parts) is tuple
+    assert all(type(p) is int for p in result.parts)
+    assert cls(result.parts) == result
+
+
+@given(
+    lam_parts=st.lists(st.integers(min_value=1, max_value=6), max_size=6),
+    mu_parts=st.sets(st.integers(min_value=1, max_value=9), max_size=5),
+    nu_parts=st.lists(st.integers(min_value=1, max_value=5), max_size=10),
+)
+def test_doubling_outputs_pass_validation(lam_parts, mu_parts, nu_parts):
+    lam = Partition(sorted(lam_parts, reverse=True))
+    mu = StrictPartition(sorted(mu_parts, reverse=True))
+    nu = merge_doubled(lam, mu)
+    _assert_validated(nu, Partition)
+    assert nu == _merge_reference(lam, mu)
+
+    nu = Partition(sorted(nu_parts, reverse=True))
+    split = split_doubled(nu)
+    _assert_validated(split[0], StrictPartition)
+    _assert_validated(split[1], Partition)
+    assert split == _split_reference(nu)
+
+
 def test_doubling_sweep_passes():
     report = verify_doubling_bijection(12, 4)
     assert report.passed
