@@ -14,11 +14,18 @@ the ambient space shifted by a partition count; the calculators here just
 evaluate those counting formulas, and refuse to answer outside the proven
 degree range.  The threshold report collects the expected dimension, the
 weak-Lefschetz degree, and connectedness bounds for a given setup.
+
+What differs between the kinds is written once, in :class:`MorphismSetup`:
+its parameter rules, its expected codimension, and for general and skew
+loci the rank induction (degree step, allowance and codimension gap) of an
+:class:`_Induction` record.  The functions below ask the setup and never
+test the kind themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product
 from math import comb
 from typing import Callable, Optional, Union
 
@@ -99,6 +106,7 @@ class MorphismSetup:
             if not self.r <= k <= self.e:
                 raise ValueError(f"everywhere-rank bound {k} out of range")
             object.__setattr__(self, "max_rank", k)
+            foreign = "ambient_jump"
         elif self.kind == "skew":
             if self.e is None or self.f is not None:
                 raise ValueError("skew setup needs e only")
@@ -109,6 +117,7 @@ class MorphismSetup:
                 raise ValueError(f"everywhere-rank bound {k} must be even and "
                                  f"between 2r and e")
             object.__setattr__(self, "max_rank", k)
+            foreign = "ambient_jump"
         elif self.kind == "orthogonal":
             if self.e is not None or self.f is not None:
                 raise ValueError("orthogonal setup needs only r and ambient_jump")
@@ -116,22 +125,39 @@ class MorphismSetup:
             if self.r < 0 or k < 0 or k > self.r or (self.r - k) % 2:
                 raise ValueError("need 0 <= ambient_jump <= r with r - ambient_jump even")
             object.__setattr__(self, "ambient_jump", k)
+            foreign = "max_rank"
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if getattr(self, foreign) is not None:
+            raise ValueError(f"{self.kind} setup takes no {foreign}")
+
+    def codimension(self, t: int) -> int:
+        """Expected codimension of the locus with r replaced by t."""
+        if self.kind == "general":
+            return (self.f - t) * (self.e - t)
+        if self.kind == "skew":
+            return comb(self.e - 2 * t, 2)
+        return comb(t, 2)
+
+    @property
+    def everywhere_bound(self) -> int:
+        """The bound that holds on all of X, in the units of r."""
+        if self.kind == "general":
+            return self.max_rank
+        if self.kind == "skew":
+            return self.max_rank // 2
+        return self.ambient_jump
+
+    @property
+    def induction(self) -> Optional[_Induction]:
+        """The rank induction behind the Lefschetz range; orthogonal loci
+        have none."""
+        return _INDUCTIONS.get(self.kind)
 
     def to_json_obj(self) -> dict:
-        out: dict = {"kind": self.kind, "r": self.r}
-        if self.e is not None:
-            out["e"] = self.e
-        if self.f is not None:
-            out["f"] = self.f
-        if self.kind in ("general", "skew"):
-            out["max_rank"] = self.max_rank
-        if self.kind == "orthogonal":
-            out["ambient_jump"] = self.ambient_jump
-        out["lower_locus_empty"] = self.lower_locus_empty
-        out["amplitude_assumed"] = self.amplitude_assumed
-        return out
+        """Every field, leaving out the ones the kind does not take."""
+        return {entry.name: value for entry in fields(self)
+                if (value := getattr(self, entry.name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +165,15 @@ class MorphismSetup:
 
 
 def expected_dimension_general(dim_x: int, e: int, f: int, r: int) -> int:
-    return dim_x - (f - r) * (e - r)
+    return dim_x - MorphismSetup("general", e=e, f=f, r=r).codimension(r)
 
 
 def expected_dimension_skew(dim_x: int, e: int, r: int) -> int:
-    return dim_x - comb(e - 2 * r, 2)
+    return dim_x - MorphismSetup("skew", e=e, r=r).codimension(r)
 
 
 def expected_codimension_orthogonal(r: int) -> int:
-    return comb(r, 2)
+    return MorphismSetup("orthogonal", r=r, ambient_jump=r % 2).codimension(r)
 
 
 def epsilon_general(m: int) -> int:
@@ -155,11 +181,7 @@ def epsilon_general(m: int) -> int:
     1, 2, 0, 1, 0, 1, ..."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 1
-    if m == 1:
-        return 2
-    return m % 2
+    return m + 1 if m < 2 else m % 2
 
 
 def epsilon_skew(m: int) -> int:
@@ -170,23 +192,54 @@ def epsilon_skew(m: int) -> int:
     return m + 1 if m < 4 else m % 4
 
 
+@dataclass(frozen=True)
+class _Induction:
+    """The induction on the rank behind the Lefschetz range of one kind.
+
+    Lowering the rank by one moves the Lefschetz degree by ``step``; at
+    degree m the expected dimension must reach the allowance
+    ``epsilon(m)``, and lowering the rank by s must raise the codimension
+    by at least ``gap(s)``.
+    """
+
+    step: int
+    epsilon: Callable[[int], int]
+    gap: Callable[[int], int]
+
+    def degrees(self, r: int) -> range:
+        """The degrees the induction reaches from rank r."""
+        return range(self.step * (r + 1))
+
+    def max_lefschetz(self, setup: MorphismSetup, dim_x: int) -> Optional[int]:
+        """Largest degree m whose rank ``r - m // step`` locus has expected
+        dimension at least ``epsilon(m)``; None if there is none."""
+        r = setup.r
+        return max((m for m in self.degrees(r)
+                    if dim_x - setup.codimension(r - m // self.step)
+                    >= self.epsilon(m)), default=None)
+
+    def allowance_holds(self, t: int) -> bool:
+        """The allowance inequality of the induction at degree t."""
+        return self.epsilon(t) + self.gap(t // self.step) > t
+
+
+_INDUCTIONS = {
+    "general": _Induction(2, epsilon_general, lambda s: s * (s + 2)),
+    "skew": _Induction(4, epsilon_skew, lambda s: s * (2 * s + 3)),
+}
+
+
 def max_lefschetz_general(dim_x: int, e: int, f: int, r: int) -> Optional[int]:
     """Largest m with the restriction to the locus bijective on H^p, p <= m:
     needs m//2 <= r and expected dimension at rank r - m//2 at least
     epsilon_general(m)."""
-    best = None
-    for m in range(0, 2 * r + 2):
-        if expected_dimension_general(dim_x, e, f, r - m // 2) >= epsilon_general(m):
-            best = m
-    return best
+    setup = MorphismSetup("general", e=e, f=f, r=r)
+    return setup.induction.max_lefschetz(setup, dim_x)
 
 
 def max_lefschetz_skew(dim_x: int, e: int, r: int) -> Optional[int]:
-    best = None
-    for m in range(0, 4 * r + 4):
-        if expected_dimension_skew(dim_x, e, r - m // 4) >= epsilon_skew(m):
-            best = m
-    return best
+    setup = MorphismSetup("skew", e=e, r=r)
+    return setup.induction.max_lefschetz(setup, dim_x)
 
 
 @dataclass
@@ -212,37 +265,21 @@ def thresholds_report(setup: MorphismSetup, dim_x: int) -> ThresholdsReport:
     """
     if dim_x < 0:
         raise ValueError("dim_x must be nonnegative")
-    notes = []
-    if setup.kind == "general":
-        e, f, r, k = setup.e, setup.f, setup.r, setup.max_rank
-        expected = expected_dimension_general(dim_x, e, f, r)
-        codim = (f - r) * (e - r)
-        eps = [[m, epsilon_general(m)] for m in range(0, 2 * r + 2)]
-        lef = max_lefschetz_general(dim_x, e, f, r)
-        offset = (f - r) * (e - r) - (e - k) * (f - k)
-        notes.append("Lefschetz range holds with integer coefficients")
-    elif setup.kind == "skew":
-        e, r = setup.e, setup.r
-        expected = expected_dimension_skew(dim_x, e, r)
-        codim = comb(e - 2 * r, 2)
-        eps = [[m, epsilon_skew(m)] for m in range(0, 4 * r + 4)]
-        lef = max_lefschetz_skew(dim_x, e, r)
-        k2 = setup.max_rank
-        offset = comb(e - 2 * r, 2) - comb(e - k2, 2)
-        notes.append("Lefschetz range holds with integer coefficients")
+    codim = setup.codimension(setup.r)
+    induction = setup.induction
+    if induction is None:
+        eps, lef = [], None
+        notes = ["no Lefschetz range is asserted for intersection loci"]
     else:
-        r, k = setup.r, setup.ambient_jump
-        codim = expected_codimension_orthogonal(r)
-        expected = dim_x - codim
-        eps = []
-        lef = None
-        offset = comb(r, 2) - comb(k, 2)
-        notes.append("no Lefschetz range is asserted for intersection loci")
+        eps = [[m, induction.epsilon(m)] for m in induction.degrees(setup.r)]
+        lef = induction.max_lefschetz(setup, dim_x)
+        notes = ["Lefschetz range holds with integer coefficients"]
+    offset = codim - setup.codimension(setup.everywhere_bound)
     if not setup.lower_locus_empty:
         notes.append("lower locus not assumed empty: only connectedness applies")
     if not setup.amplitude_assumed:
         notes.append("twisting not assumed ample: all bounds are conjectural here")
-    return ThresholdsReport(setup, dim_x, expected, codim, eps, lef,
+    return ThresholdsReport(setup, dim_x, dim_x - codim, codim, eps, lef,
                             offset, offset, tuple(notes))
 
 
@@ -262,91 +299,58 @@ class GrowthReport(Record):
             self.failure = msg
 
 
-def _allowance_holds(kind: str, t: int) -> bool:
-    """The allowance inequality of the induction at degree t."""
-    if kind == "general":
-        half = t // 2
-        return epsilon_general(t) + half * (half + 2) > t
-    quarter = t // 4
-    return epsilon_skew(t) + quarter * (2 * quarter + 3) > t
-
-
 def verify_growth_inequalities(kind: str, e: int, r: int, f: Optional[int] = None,
                                t_max: int = 100) -> GrowthReport:
     """Check the inequalities that drive the induction on the rank.
 
-    kind "general" (needs r < e <= f): the codimension gap
-    ``delta(t) - delta(t-s)`` must dominate s(s+2) for 0 <= s <= t <= r, and
-    the allowance sequence must satisfy
-    ``epsilon(t) + [t/2]([t/2]+2) > t`` for t <= t_max.
-    kind "skew" (needs e >= 2r+2): the gap ``alpha(t) - alpha(t-s)`` must
-    dominate s(2s+3), and ``epsilon'(t) + [t/4](2[t/4]+3) > t``.
-    Expected dimensions are affine in dim(X), so checking at dim(X) = 0
-    covers every ambient space.  Failures are lemma-level bugs and are
-    reported with a witness.
+    The setup must have a rank induction and a positive codimension at r:
+    r < e <= f for kind "general", e >= 2r+2 for kind "skew".  The
+    codimension gap ``codim(t-s) - codim(t)`` must dominate the induction's
+    ``gap(s)`` -- s(s+2) for general, s(2s+3) for skew -- for
+    0 <= s <= t <= r, and the allowances must satisfy
+    ``epsilon(t) + gap(t // step) > t`` for t <= t_max.  Expected dimensions
+    are affine in dim(X), so the gap does not depend on the ambient space.
+    Failures are lemma-level bugs and are reported with a witness.
     """
-    if kind == "general":
-        if f is None:
-            raise ValueError("general kind needs f")
-        if not 0 <= r < e <= f:
-            raise ValueError(f"need 0 <= r < e <= f, got r={r}, e={e}, f={f}")
-
-        def dim(t: int) -> int:
-            return expected_dimension_general(0, e, f, t)
-
-        def gap_needed(s: int) -> int:
-            return s * (s + 2)
-    elif kind == "skew":
-        if f is not None:
-            raise ValueError("skew kind takes no f")
-        if not (0 <= 2 * r and 2 * r + 2 <= e):
-            raise ValueError(f"need e >= 2r+2, got r={r}, e={e}")
-
-        def dim(t: int) -> int:
-            return expected_dimension_skew(0, e, t)
-
-        def gap_needed(s: int) -> int:
-            return s * (2 * s + 3)
-    else:
-        raise ValueError(f"kind must be 'general' or 'skew', got {kind!r}")
+    setup = MorphismSetup(kind, e=e, f=f, r=r)
+    induction = setup.induction
+    if induction is None or setup.codimension(r) <= 0:
+        raise ValueError(f"no rank induction for a {kind} setup of codimension "
+                         f"{setup.codimension(r)} at r={r}")
     report = GrowthReport()
     pairs = [(t, s) for t in range(r + 1) for s in range(t + 1)]
     for t, s in pairs:
-        if dim(t) - dim(t - s) < gap_needed(s):
+        if setup.codimension(t - s) - setup.codimension(t) < induction.gap(s):
             report.note_failure(f"codimension gap fails at t={t}, s={s}")
     report.checked["codimension_gap"] = len(pairs)
     for t in range(t_max + 1):
-        if not _allowance_holds(kind, t):
+        if not induction.allowance_holds(t):
             report.note_failure(f"allowance fails at t={t}")
     report.checked["allowance"] = t_max + 1
     return report
 
 
 def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
-    """Run verify_growth_inequalities over every admissible rank combination
+    """Run verify_growth_inequalities over every rank combination it accepts
     with e, f up to max_rank; merge the counts."""
     merged = GrowthReport()
-    for e in range(1, max_rank + 1):
-        for f in range(e, max_rank + 1):
-            for r in range(0, e):
-                rep = verify_growth_inequalities("general", e, r, f, t_max=0)
-                merged.checked["general_gap"] = (
-                    merged.checked.get("general_gap", 0) + rep.checked["codimension_gap"])
+    for kind, induction in _INDUCTIONS.items():
+        gaps = 0
+        for e in range(max_rank + 1):
+            for f, r in product((None, *range(e, max_rank + 1)), range(e)):
+                try:
+                    rep = verify_growth_inequalities(kind, e, r, f, t_max=0)
+                except ValueError:
+                    continue  # not a setup of this kind with an induction
+                gaps += rep.checked["codimension_gap"]
                 if not rep.passed:
-                    merged.note_failure(f"e={e} f={f}: {rep.failure}")
-    for e in range(2, max_rank + 1):
-        for r in range(0, (e - 2) // 2 + 1):
-            rep = verify_growth_inequalities("skew", e, r, t_max=0)
-            merged.checked["skew_gap"] = (
-                merged.checked.get("skew_gap", 0) + rep.checked["codimension_gap"])
-            if not rep.passed:
-                merged.note_failure(f"e={e}: {rep.failure}")
-    for t in range(0, t_max + 1):
-        for kind in ("general", "skew"):
-            if not _allowance_holds(kind, t):
+                    where = f"e={e}" if f is None else f"e={e} f={f}"
+                    merged.note_failure(f"{where}: {rep.failure}")
+        merged.checked[f"{kind}_gap"] = gaps
+        merged.checked[f"{kind}_allowance"] = t_max + 1
+        for t in range(t_max + 1):
+            if not induction.allowance_holds(t):
                 merged.note_failure(f"{kind} allowance fails at t={t}")
-    merged.checked["general_allowance"] = t_max + 1
-    merged.checked["skew_allowance"] = t_max + 1
     return merged
 
 
@@ -368,9 +372,8 @@ def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable
     Valid strictly below the expected dimension: there
     ``b_p = sum over partitions in an (e-r) x r box of b_(p-2|shape|)(X)``.
     """
-    if not 0 <= r <= e <= f:
-        raise ValueError(f"need 0 <= r <= e <= f, got r={r}, e={e}, f={f}")
-    valid_below = max(expected_dimension_general(ambient.dim, e, f, r), 0)
+    setup = MorphismSetup("general", e=e, f=f, r=r)
+    valid_below = max(ambient.dim - setup.codimension(r), 0)
     sums = (_shifted_sum(ambient, p, 2, lambda q: count_box_partitions(q, r, e - r))
             for p in range(valid_below))
     return BettiTable(
@@ -389,9 +392,8 @@ def betti_skew(ambient: AmbientData, e: int, r: int) -> BettiTable:
     ``b_p = sum over partitions with parts <= r of b_(p-4|shape|)(X)``
     (any number of rows; the shift is four per box).
     """
-    if not 0 <= 2 * r <= e:
-        raise ValueError(f"need 0 <= 2r <= e, got r={r}, e={e}")
-    valid_below = max(expected_dimension_skew(ambient.dim, e, r), 0)
+    setup = MorphismSetup("skew", e=e, r=r)
+    valid_below = max(ambient.dim - setup.codimension(r), 0)
     sums = (_shifted_sum(ambient, p, 4, lambda q: count_box_partitions(q, r))
             for p in range(valid_below))
     return BettiTable(
@@ -422,11 +424,7 @@ def betti_orthogonal_special(ambient: AmbientData, case: str) -> BettiTable:
     else:
         raise ValueError(f"case must be 'even' or 'odd', got {case!r}")
     valid_below = max(valid_below, 0)
-    entries: dict[int, int] = {}
-    for p in range(valid_below):
-        b = ambient.h(p) + (1 if p == 4 else 0)
-        if b:
-            entries[p] = b
+    entries = {p: b for p in range(valid_below) if (b := ambient.h(p) + int(p == 4))}
     return BettiTable(
         entries, valid_below,
         setup={"kind": "orthogonal-special", "case": case, "jump": jump,
@@ -440,10 +438,7 @@ def betti_orthogonal_special(ambient: AmbientData, case: str) -> BettiTable:
 def skew_to_orthogonal(e: int, r: int) -> tuple[int, int]:
     """Translate a skew rank <= 2r condition on a rank-e bundle into the
     kernel-intersection picture: returns (jump, expected codimension)."""
-    if not 0 <= 2 * r <= e:
-        raise ValueError(f"need 0 <= 2r <= e, got r={r}, e={e}")
-    jump = e - 2 * r
-    return jump, comb(jump, 2)
+    return e - 2 * r, MorphismSetup("skew", e=e, r=r).codimension(r)
 
 
 # ---------------------------------------------------------------------------

@@ -170,18 +170,23 @@ def count_box_partitions(weight: int, max_part: int,
 
 
 @lru_cache(maxsize=None)
+def _strict_series(max_part: int, top: int) -> tuple[int, ...]:
+    """Coefficients of q^0 .. q^top in prod_i (1 + q^i), i = 1 .. max_part:
+    strict partitions with parts <= max_part, by weight."""
+    series = [1] + [0] * top
+    for i in range(1, max_part + 1):
+        for k in range(top, i - 1, -1):
+            series[k] += series[k - i]
+    return tuple(series)
+
+
 def count_strict_partitions(weight: int, max_part: int) -> int:
     """Number of strict partitions of ``weight`` with parts <= max_part."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    if weight == 0:
-        return 1
-    if max_part <= 0:
-        return 0
-    total = count_strict_partitions(weight, max_part - 1)
-    if weight >= max_part:
-        total += count_strict_partitions(weight - max_part, max_part - 1)
-    return total
+    # as in count_box_partitions: parts above ``top`` change nothing
+    top = 1 << weight.bit_length()
+    return _strict_series(min(max(max_part, 0), top), top)[weight]
 
 
 def _valid_by_construction(cls, parts: list[int]):

@@ -98,13 +98,12 @@ def monomials_of_half_degree(num_generators: int, q: int) -> list[Monomial]:
     return out
 
 
-def relation_rows(pres: RingPresentation, q: int,
-                  columns: Optional[dict[Monomial, int]] = None
-                  ) -> tuple[list[list[int]], list[Monomial]]:
+def relation_rows(pres: RingPresentation,
+                  q: int) -> tuple[list[list[int]], list[Monomial]]:
     """Integer rows spanning the degree-2q piece of the relation ideal,
     expressed in the monomial basis of that degree."""
     monos = monomials_of_half_degree(pres.num_generators, q)
-    col = columns if columns is not None else {m: i for i, m in enumerate(monos)}
+    col = {m: i for i, m in enumerate(monos)}
     rows: list[list[int]] = []
     for rel in pres.relations:
         deg = rel.homogeneous_degree()

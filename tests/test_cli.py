@@ -135,6 +135,26 @@ def test_negative_q_max_exits_2(capsys):
     assert err == "degenloci: q_max must be nonnegative\n"
 
 
+def test_bijection_with_many_parts_exits_0(capsys):
+    code, out, err = run_cli(capsys, "partitions", "bijection", "--q-max", "2",
+                             "--max-part", "3000")
+    assert (code, err) == (0, "")
+    assert out.startswith("passed")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "general", "--e", "3", "--f", "4", "--r", "1", "--dimx", "10",
+      "--ambient-jump", "5"), "general setup takes no ambient_jump"),
+    (("--kind", "skew", "--e", "6", "--r", "2", "--dimx", "10",
+      "--ambient-jump", "2"), "skew setup takes no ambient_jump"),
+    (("--kind", "orthogonal", "--r", "3", "--ambient-jump", "1", "--dimx", "10",
+      "--max-rank", "7"), "orthogonal setup takes no max_rank"),
+], ids=["general", "skew", "orthogonal"])
+def test_thresholds_flag_foreign_to_kind_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "thresholds", *argv)
+    assert (code, out, err) == (2, "", f"degenloci: {message}\n")
+
+
 def test_missing_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "grassmannian", "--d", "2"])
@@ -143,8 +163,19 @@ def test_missing_arguments_exit_via_argparse(capsys):
 
 
 _SMALL = st.integers(min_value=-3, max_value=9)
+# an optional flag left out as often as given
+_OPTIONAL = st.none() | _SMALL
+_AMBIENT_SPECS = st.builds("{}:{}".format, st.sampled_from(("pn", "torus")),
+                           st.integers(-2, 8))
 # flags of each fuzzed command, each with the values drawn for it
 _FUZZED = {
+    ("thresholds",): {"--kind": st.sampled_from(("general", "skew", "orthogonal")),
+                      "--dimx": st.integers(-3, 20), "--e": _OPTIONAL,
+                      "--f": _OPTIONAL, "--r": _SMALL, "--max-rank": _OPTIONAL,
+                      "--ambient-jump": _OPTIONAL},
+    ("betti", "general"): {"--ambient": _AMBIENT_SPECS, "--e": _SMALL,
+                           "--f": _SMALL, "--r": _SMALL},
+    ("betti", "skew"): {"--ambient": _AMBIENT_SPECS, "--e": _SMALL, "--r": _SMALL},
     ("cells", "enumerate"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL},
     ("cells", "verify"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL,
                           "--p-max": _SMALL},
@@ -166,7 +197,9 @@ def fuzzed_argv(draw):
     for flag, values in _FUZZED[command].items():
         # a dropped flag exercises argparse's missing-argument error
         if draw(st.integers(0, 9)):
-            argv += [flag, str(draw(values))]
+            value = draw(values)
+            if value is not None:
+                argv += [flag, str(value)]
     return argv + ["--format", draw(st.sampled_from(("json", "csv", "pretty")))]
 
 

@@ -127,6 +127,16 @@ def test_setup_orthogonal():
         MorphismSetup("mystery", r=1)
 
 
+def test_setup_rejects_flags_of_other_kinds():
+    for kind, kwargs, foreign in (
+        ("general", dict(e=3, f=4, r=1, ambient_jump=5), "ambient_jump"),
+        ("skew", dict(e=6, r=2, ambient_jump=2), "ambient_jump"),
+        ("orthogonal", dict(r=3, ambient_jump=1, max_rank=7), "max_rank"),
+    ):
+        with pytest.raises(ValueError, match=f"^{kind} setup takes no {foreign}$"):
+            MorphismSetup(kind, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # allowances and Lefschetz thresholds
 
@@ -376,6 +386,11 @@ def test_fibration_betti_total_is_product_of_totals():
     total = fibration_ambient(base, fiber)
     assert total.dim == base.dim + 6
     assert sum(total.betti) == sum(base.betti) * 2 ** 3
+
+
+def test_lagrangian_shift_count_with_many_parts():
+    # strict partitions of 3 with parts <= 1200: (3) and (2, 1)
+    assert LagrangianBundle(1200).shift_count(3) == 2
 
 
 def test_fibration_bundle_validation():

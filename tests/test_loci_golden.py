@@ -55,7 +55,8 @@ def _case(name: str, fn, **kwargs):
 INVALID_SETUPS = (
     dict(kind="general", f=4, r=1), dict(kind="general", e=3, r=1),
     dict(kind="general", e=3, f=2, r=1), dict(kind="general", e=3, f=4, r=4),
-    dict(kind="general", e=3, f=4, r=-1), dict(kind="general", e=3, f=4, r=2, max_rank=1),
+    dict(kind="general", e=3, f=4, r=-1),
+    dict(kind="general", e=3, f=4, r=2, max_rank=1),
     dict(kind="general", e=3, f=4, r=2, max_rank=4),
     dict(kind="skew", r=1), dict(kind="skew", e=6, f=6, r=1),
     dict(kind="skew", e=6, r=4), dict(kind="skew", e=6, r=-1),

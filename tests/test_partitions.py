@@ -161,6 +161,15 @@ def test_counts_reject_negative_weight():
         enumerate_strict_partitions(-2, 2)
 
 
+def test_strict_counts_with_many_parts():
+    # one level of recursion per part used to overflow the stack here
+    assert count_strict_partitions(5, 3000) == 3
+    # q(100), the number of partitions of 100 into distinct parts
+    assert count_strict_partitions(100, 3000) == 444793
+    assert count_strict_partitions(100, 10) == 0
+    assert (count_strict_partitions(0, -2), count_strict_partitions(3, -2)) == (1, 0)
+
+
 def test_box_counts_at_large_weights():
     # p(250), the number of all partitions of 250
     assert count_box_partitions(250, 250) == 230793554364681
