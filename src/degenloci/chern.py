@@ -255,13 +255,18 @@ def series_inverse(c: Components, cap: int) -> list[ChernPoly]:
             if not ci.is_zero():
                 acc = acc + ci * s[j - i]
         s.append(-acc)
-    for j in range(1, cap + 1):
-        conv = ChernPoly.zero()
-        for i in range(0, j + 1):
-            conv = conv + _component(c, i) * s[j - i]
+    for j, conv in enumerate(series_product(c, s, cap)[1:], 1):
         if not conv.is_zero():
             raise ArithmeticError(f"inverse series failed self-check at index {j}")
     return s
+
+
+def series_product(a: Components, b: Components, cap: int) -> list[ChernPoly]:
+    """Components ``0..cap`` of the product of the series with components
+    ``a`` and ``b``: ``sum_i a_i * b_(j-i)`` for j = 0..cap."""
+    return [sum((_component(a, i) * _component(b, j - i)
+                 for i in range(max(0, j - len(b) + 1), min(j, len(a) - 1) + 1)),
+                ChernPoly.zero()) for j in range(cap + 1)]
 
 
 def schur_determinant(shape: Sequence[int], c: Components,

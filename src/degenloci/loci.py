@@ -362,8 +362,9 @@ def _shifted_sum(ambient: AmbientData, p: int, step: int,
                  mult: Callable[[int], int]) -> int:
     """``sum_q mult(q) * b_(p - step*q)(X)``: degree p of the ambient Betti
     numbers, one copy shifted by step*q for each of the mult(q) classes of
-    weight q."""
-    return sum(mult(q) * ambient.h(p - step * q) for q in range(p // step + 1))
+    weight q.  Only the nonzero ambient degrees p - step*q are visited."""
+    return sum(mult((p - j) // step) * b for j, b in enumerate(ambient.betti[:p + 1])
+               if b and (p - j) % step == 0)
 
 
 def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable:
@@ -499,7 +500,10 @@ def fibration_ambient(ambient: AmbientData, fiber: Fiber) -> AmbientData:
     Returning AmbientData lets towers of bundles compose.
     """
     dim = ambient.dim + fiber.fiber_dimension
-    return AmbientData(dim, tuple(_shifted_sum(ambient, p, 2, fiber.shift_count)
+    # no cell has weight above the fiber dimension
+    counts = [fiber.shift_count(q) if q <= fiber.fiber_dimension else 0
+              for q in range(dim + 1)]
+    return AmbientData(dim, tuple(_shifted_sum(ambient, p, 2, counts.__getitem__)
                                   for p in range(2 * dim + 1)))
 
 

@@ -66,7 +66,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.parts))
+        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.parts)})"
@@ -92,47 +92,41 @@ class BoxConstraint:
     max_length: Optional[int] = None
 
 
-def enumerate_box_partitions(weight: int, box: BoxConstraint) -> list[Partition]:
-    """All partitions of ``weight`` fitting in ``box``, lex descending."""
+def _enumerate(cls, weight: int, max_part: int, max_length: Optional[int],
+               strict: bool) -> list:
+    """Partitions of ``weight``, parts <= max_part, at most max_length rows
+    (any number when None), lex descending; distinct parts when ``strict``."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    out: list[Partition] = []
+    out: list = []
 
-    def rec(remaining: int, cap: int, slots: Optional[int], prefix: list[int]) -> None:
+    def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(_valid_by_construction(cls, prefix))
             return
-        if slots is not None and slots == 0:
+        if slots == 0:
             return
         for p in range(min(cap, remaining), 0, -1):
             prefix.append(p)
-            rec(remaining - p, p, None if slots is None else slots - 1, prefix)
+            rec(remaining - p, p - strict, slots - 1, prefix)
             prefix.pop()
 
-    rec(weight, box.max_part, box.max_length, [])
+    # no partition of ``weight`` has more than ``weight`` rows
+    rec(weight, max_part, weight if max_length is None else max_length, [])
     # rec refers to itself through its closure; unbinding it breaks that
     # cycle, so the partitions are freed as soon as the caller drops them
     del rec
     return out
 
 
+def enumerate_box_partitions(weight: int, box: BoxConstraint) -> list[Partition]:
+    """All partitions of ``weight`` fitting in ``box``, lex descending."""
+    return _enumerate(Partition, weight, box.max_part, box.max_length, False)
+
+
 def enumerate_strict_partitions(weight: int, max_part: int) -> list[StrictPartition]:
     """All strict partitions of ``weight`` with parts <= max_part, lex descending."""
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
-    out: list[StrictPartition] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(StrictPartition(prefix))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p - 1, prefix)
-            prefix.pop()
-
-    rec(weight, max_part, [])
-    return out
+    return _enumerate(StrictPartition, weight, max_part, None, True)
 
 
 @lru_cache(maxsize=None)
@@ -184,16 +178,19 @@ def count_strict_partitions(weight: int, max_part: int) -> int:
     """Number of strict partitions of ``weight`` with parts <= max_part."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
+    if max_part < 0:
+        raise ValueError("max_part must be nonnegative")
     # as in count_box_partitions: parts above ``top`` change nothing
     top = 1 << weight.bit_length()
-    return _strict_series(min(max(max_part, 0), top), top)[weight]
+    return _strict_series(min(max_part, top), top)[weight]
 
 
 def _valid_by_construction(cls, parts: list[int]):
     """A ``cls`` holding ``parts`` without a second ``_normalize`` pass.
 
-    Only :func:`merge_doubled` and :func:`split_doubled` use this: they
-    rearrange the parts of already validated partitions, so their parts are
+    Only :func:`_enumerate`, which draws each part from a ``range`` below
+    the last, and :func:`merge_doubled` and :func:`split_doubled`, which
+    rearrange the parts of validated partitions, use this: their parts are
     positive ints, in decreasing order, and distinct where ``cls`` is strict.
     """
     obj = object.__new__(cls)

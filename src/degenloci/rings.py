@@ -1,18 +1,17 @@
 """Integral cohomology rings of Grassmannians as explicit graded quotients.
 
-Two presentations are built here, both on generators ``c_1..c_d`` with
-``c_i`` in cohomological degree 2i:
+Each family is described once, by its constructor, on generators ``c_1..c_d``
+with ``c_i`` in cohomological degree 2i:
 
-* ordinary Grassmannian of d-planes in n-space: kill the components of
-  index n-d+1 .. n of the inverse of ``1 - c_1 + c_2 - ...``;
-* Lagrangian-type Grassmannian of isotropic d-planes in a symplectic
-  2r-space: kill the components of index 2(r-d+1), 2(r-d+2), .., 2r of the
-  inverse of ``(sum c_i) * (sum (-1)^i c_i)`` (odd components of that
-  inverse vanish identically).
+* :func:`grassmannian_presentation`, d-planes in n-space: kill the
+  components n-d+1 .. n of the inverse of ``1 - c_1 + c_2 - ...``;
+* :func:`isotropic_presentation`, isotropic d-planes in a symplectic
+  2r-space: kill the components 2(r-d+1), .., 2r of the inverse of
+  ``(sum c_i) * (sum (-1)^i c_i)``, after checking its odd components vanish.
 
-Graded tables (rank, torsion, monomial basis per degree) are computed with
-exact integer elimination, so rank deficits and torsion cannot hide behind
-floating point.
+Everything else reads those presentations: the restriction certificate
+(:func:`_containment_certificate`) and the graded tables (rank, torsion,
+monomial basis per degree), computed by exact integer elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chern import ChernPoly, Monomial, cgen, series_inverse
+from .chern import ChernPoly, Monomial, cgen, series_inverse, series_product
 from .errors import VerificationError
 from .intlinalg import cokernel
 from .partitions import BoxConstraint, enumerate_box_partitions
@@ -50,27 +49,19 @@ class RingPresentation:
         return tuple(2 * i for i in range(1, self.num_generators + 1))
 
 
+def _chern_series(d: int, sign: int) -> list[ChernPoly]:
+    """Components of ``1 + sign*c_1 + c_2 + sign*c_3 + ...`` in c_1..c_d:
+    the total Chern class for sign 1, the alternating class for sign -1."""
+    return [ChernPoly.one()] + [sign ** i * cgen(i) for i in range(1, d + 1)]
+
+
 def grassmannian_presentation(d: int, n: int) -> RingPresentation:
     """Cohomology of the Grassmannian of d-planes in C^n."""
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    signed = [ChernPoly.one()] + [(-1) ** i * cgen(i) for i in range(1, d + 1)]
-    inv = series_inverse(signed, n)
+    inv = series_inverse(_chern_series(d, -1), n)
     relations = tuple(inv[j] for j in range(n - d + 1, n + 1))
     return RingPresentation("grassmannian", (("d", d), ("n", n)), d, relations)
-
-
-def _symplectic_kernel_inverse(d: int, cap: int) -> list[ChernPoly]:
-    """Inverse series of ``(sum c_i) * (sum (-1)^i c_i)`` up to index cap."""
-    plain = [ChernPoly.one()] + [cgen(i) for i in range(1, d + 1)]
-    signed = [ChernPoly.one()] + [(-1) ** i * cgen(i) for i in range(1, d + 1)]
-    product = []
-    for j in range(cap + 1):
-        acc = ChernPoly.zero()
-        for a in range(max(0, j - d), min(j, d) + 1):
-            acc = acc + plain[a] * signed[j - a]
-        product.append(acc)
-    return series_inverse(product, cap)
 
 
 def isotropic_presentation(d: int, r: int) -> RingPresentation:
@@ -78,7 +69,8 @@ def isotropic_presentation(d: int, r: int) -> RingPresentation:
     2r-space."""
     if not 1 <= d <= r:
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    inv = _symplectic_kernel_inverse(d, 2 * r)
+    kernel = series_product(_chern_series(d, 1), _chern_series(d, -1), 2 * d)
+    inv = series_inverse(kernel, 2 * r)
     for j in range(1, 2 * r + 1, 2):
         if not inv[j].is_zero():
             raise VerificationError(f"odd component {j} of the inverse is nonzero")
@@ -168,36 +160,37 @@ def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
     return GradedTable(pres.label, dict(pres.params), up_to_degree, rows)
 
 
-def restriction_containment(d: int, r: int) -> bool:
-    """Certify that the ordinary-Grassmannian relations (d-planes in 2r-space)
-    lie in the isotropic relation ideal.
+def _containment_certificate(grass: RingPresentation,
+                             iso: RingPresentation) -> None:
+    """Check that every relation of ``grass`` lies in the ideal of ``iso``.
 
-    Writing h for the inverse of ``sum (-1)^i c_i`` and s for the inverse of
-    ``(sum c_i)(sum (-1)^i c_i)``, convolution gives
-    ``h_j = sum_i c_i s_(j-i)``; for j > 2r-d every index j-i that survives
-    is even and at least 2(r-d+1), i.e. each h_j is an explicit combination
-    of isotropic relation generators.  This function checks that identity
-    symbolically and raises on any mismatch.
+    With h the inverse of ``sum (-1)^i c_i`` and s that of
+    ``(sum c_i)(sum (-1)^i c_i)``, convolution gives ``h_j = sum_i c_i
+    s_(j-i)``.  The relations of ``grass`` are the h_j with j > n-d, those of
+    ``iso`` the s_k with k even in 2(r-d+1) .. 2r, and s_k = 0 for odd k
+    (certified by :func:`isotropic_presentation`).  Raises unless every h_j
+    is that combination of isotropic relations.
     """
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    n = 2 * r
-    signed = [ChernPoly.one()] + [(-1) ** i * cgen(i) for i in range(1, d + 1)]
-    h = series_inverse(signed, n)
-    s = _symplectic_kernel_inverse(d, n)
-    lowest_relation = 2 * (r - d + 1)
-    for j in range(n - d + 1, n + 1):
+    d, r = iso.num_generators, dict(iso.params)["r"]
+    n = dict(grass.params)["n"]
+    plain, lowest_relation = _chern_series(d, 1), 2 * (r - d + 1)
+    for j, h_j in zip(range(n - grass.num_generators + 1, n + 1), grass.relations):
         acc = ChernPoly.zero()
-        for i in range(0, d + 1):
+        for i in range(j % 2, min(d, j) + 1, 2):  # the even k = j - i >= 0
             k = j - i
-            if k < 0 or s[k].is_zero():
-                continue
-            if k > 0 and k < lowest_relation:
+            if not lowest_relation <= k <= 2 * r:
                 raise VerificationError(
                     f"h_{j} needs inverse component {k} outside the relation range")
-            acc = acc + (cgen(i) if i else ChernPoly.one()) * s[k]
-        if acc != h[j]:
+            acc = acc + plain[i] * iso.relations[(k - lowest_relation) // 2]
+        if acc != h_j:
             raise VerificationError(f"containment identity failed at index {j}")
+
+
+def restriction_containment(d: int, r: int) -> bool:
+    """Certify that the relations of the Grassmannian of d-planes in 2r-space
+    lie in the isotropic relation ideal; True, or raises on any mismatch."""
+    iso = isotropic_presentation(d, r)
+    _containment_certificate(grassmannian_presentation(d, 2 * r), iso)
     return True
 
 
@@ -235,12 +228,11 @@ def restriction_report(d: int, n: int, r: int,
     """
     if n != 2 * r:
         raise ValueError(f"the isotropic side needs n = 2r, got n={n}, r={r}")
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    restriction_containment(d, r)
+    iso, grass = isotropic_presentation(d, r), grassmannian_presentation(d, n)
+    _containment_certificate(grass, iso)
     cap = isotropic_dimension(d, r) if up_to_half_degree is None else up_to_half_degree
-    table_g = graded_table(grassmannian_presentation(d, n), 2 * cap)
-    table_l = graded_table(isotropic_presentation(d, r), 2 * cap)
+    table_g = graded_table(grass, 2 * cap)
+    table_l = graded_table(iso, 2 * cap)
     bound = 2 * (r - d) + 1
     rows: list[RestrictionRow] = []
     first_bad: Optional[int] = None

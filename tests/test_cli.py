@@ -187,6 +187,12 @@ _FUZZED = {
                                   "--max-part": _SMALL},
     ("ring", "isotropic"): {"--d": st.integers(-2, 4), "--r": st.integers(-2, 4),
                             "--max-degree": st.integers(-3, 12)},
+    ("ring", "grassmannian"): {"--d": st.integers(-2, 4), "--n": st.integers(-2, 8),
+                               "--max-degree": st.integers(-3, 12)},
+    # --n other than 2r and --up-to past the isotropic dimension are drawn too
+    ("restriction",): {"--d": st.integers(-2, 3), "--r": st.integers(-2, 3),
+                       "--n": st.none() | st.integers(-3, 8),
+                       "--up-to": st.none() | st.integers(-3, 8)},
 }
 
 

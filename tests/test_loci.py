@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degenloci.loci as loci
 from degenloci.errors import OutsideValidityError
 from degenloci.loci import (
     AmbientData,
@@ -28,6 +29,7 @@ from degenloci.loci import (
     verify_growth_inequalities,
     verify_growth_sweep,
 )
+from degenloci.partitions import count_strict_partitions
 
 
 def partitions_upto(weight, max_part, max_len):
@@ -386,6 +388,28 @@ def test_fibration_betti_total_is_product_of_totals():
     total = fibration_ambient(base, fiber)
     assert total.dim == base.dim + 6
     assert sum(total.betti) == sum(base.betti) * 2 ** 3
+
+
+@pytest.mark.parametrize("base", [AmbientData.point(),
+                                  AmbientData.projective_space(3),
+                                  AmbientData.abelian_variety(2)],
+                         ids=["point", "pn3", "torus2"])
+def test_fibration_counts_each_weight_once(monkeypatch, base):
+    # the cells of each weight are counted at most once per nonzero base
+    # Betti number, however many degrees the total space has
+    calls = []
+
+    def counting(weight, max_part):
+        calls.append(weight)
+        return count_strict_partitions(weight, max_part)
+
+    monkeypatch.setattr(loci, "count_strict_partitions", counting)
+    fiber = LagrangianBundle(6)
+    total = fibration_ambient(base, fiber)
+    monkeypatch.undo()
+    assert total == fibration_ambient(base, fiber)
+    nonzero_base = sum(1 for b in base.betti if b)
+    assert len(calls) <= (fiber.fiber_dimension + 1) * nonzero_base
 
 
 def test_lagrangian_shift_count_with_many_parts():

@@ -1,5 +1,7 @@
 """Partition enumeration and counting against brute-force oracles."""
 
+import gc
+import sys
 from itertools import combinations
 from math import comb
 
@@ -106,6 +108,13 @@ def test_strict_partition_rejects_repeats():
     assert StrictPartition([3, 1]).parts == (3, 1)
 
 
+def test_equal_partitions_hash_alike():
+    # equality ignores the class, so the hash must too
+    lam, mu = Partition([2, 1]), StrictPartition([2, 1])
+    assert lam == mu and hash(lam) == hash(mu)
+    assert len({lam, mu}) == 1
+
+
 # ---------------------------------------------------------------------------
 # enumeration against brute force
 
@@ -128,6 +137,20 @@ def test_box_enumeration_matches_brute_force(weight, max_part, max_length):
 def test_strict_enumeration_matches_brute_force(weight, max_part):
     got = enumerate_strict_partitions(weight, max_part)
     assert {p.parts for p in got} == brute_strict_partitions(weight, max_part)
+
+
+def test_enumerators_leave_no_reference_cycle():
+    # with the collector off, a cycle through the recursion's closure would
+    # hold one more reference to the returned list
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        box = enumerate_box_partitions(6, BoxConstraint(6))
+        strict = enumerate_strict_partitions(6, 6)
+        assert (sys.getrefcount(box), sys.getrefcount(strict)) == (2, 2)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_enumeration_is_lex_descending():
@@ -167,7 +190,14 @@ def test_strict_counts_with_many_parts():
     # q(100), the number of partitions of 100 into distinct parts
     assert count_strict_partitions(100, 3000) == 444793
     assert count_strict_partitions(100, 10) == 0
-    assert (count_strict_partitions(0, -2), count_strict_partitions(3, -2)) == (1, 0)
+    assert (count_strict_partitions(0, 0), count_strict_partitions(3, 0)) == (1, 0)
+
+
+def test_strict_count_rejects_negative_max_part():
+    # both counters reject a negative bound rather than reading it as 0
+    for count in (count_box_partitions, count_strict_partitions):
+        with pytest.raises(ValueError, match="max_part must be nonnegative"):
+            count(3, -2)
 
 
 def test_box_counts_at_large_weights():

@@ -1,11 +1,13 @@
 """Graded quotient rings against combinatorial rank oracles."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenloci.chern import monomial_degree
+import degenloci.rings as rings
+from degenloci.chern import cgen, monomial_degree, series_inverse
 from degenloci.errors import VerificationError
 from degenloci.rings import (
     GradedTable,
@@ -230,6 +232,43 @@ def test_restriction_containment_small_range():
     for r in range(1, 5):
         for d in range(1, r + 1):
             assert restriction_containment(d, r)
+
+
+def test_restriction_containment_rejects_bad_shapes():
+    for d, r in ((3, 2), (0, 2), (-1, 3), (2, 0)):
+        with pytest.raises(ValueError) as exc:
+            restriction_containment(d, r)
+        assert str(exc.value) == f"need 1 <= d <= r, got d={d}, r={r}"
+
+
+def test_containment_certificate_rejects_a_perturbed_relation():
+    grass, iso = grassmannian_presentation(2, 6), isotropic_presentation(2, 3)
+    rings._containment_certificate(grass, iso)
+    # h_5, the first relation, plus a class of the same degree
+    bent = (grass.relations[0] + cgen(1) ** 5,) + grass.relations[1:]
+    with pytest.raises(VerificationError,
+                       match="containment identity failed at index 5"):
+        rings._containment_certificate(replace(grass, relations=bent), iso)
+
+
+def test_containment_certificate_rejects_an_index_outside_the_relations():
+    # h_3 of G(2, 4) needs s_2, below the isotropic relations s_4, s_6
+    with pytest.raises(VerificationError, match="h_3 needs inverse component 2 "
+                                                "outside the relation range"):
+        rings._containment_certificate(grassmannian_presentation(2, 4),
+                                       isotropic_presentation(2, 3))
+
+
+def test_restriction_report_inverts_each_series_once(monkeypatch):
+    calls = []
+
+    def counting(c, cap):
+        calls.append(cap)
+        return series_inverse(c, cap)
+
+    monkeypatch.setattr(rings, "series_inverse", counting)
+    restriction_report(2, 6, 3, 2)
+    assert len(calls) == 2
 
 
 def test_restriction_report_2_6_3_frozen():
