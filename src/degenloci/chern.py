@@ -2,8 +2,14 @@
 
 A generator is a name like ``c3`` or ``s1``: a letter block followed by a
 positive index i, carrying cohomological degree 2i.  Polynomials are sparse
-maps from monomials (sorted tuples of (name, exponent) pairs) to nonzero
-arbitrary-precision integer coefficients, so all identities here are exact.
+maps from monomials to nonzero arbitrary-precision integer coefficients, so
+all identities here are exact.
+
+A monomial has one canonical form, built only by :func:`monomial`: a tuple of
+(name, exponent) pairs sorted by name, each generator once, each exponent a
+positive int.  The :class:`ChernPoly` constructor puts every key into that
+form and sums the coefficients of keys that agree, so products may key on
+concatenated monomials and leave the rest to it.
 
 Total Chern-class style data is passed around as a *component list*
 ``c = [c_0, c_1, ..., c_N]`` whose i-th entry is the (polynomial) component
@@ -13,9 +19,10 @@ of cohomological degree 2i; indices outside the list are read as zero and
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -35,14 +42,18 @@ def monomial_degree(mon: Monomial) -> int:
     return sum(generator_degree(name) * e for name, e in mon)
 
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for name, e in b:
-        acc[name] = acc.get(name, 0) + e
+def monomial(factors: Iterable[tuple[str, int]]) -> Monomial:
+    """Canonical form of a product of generator powers: repeated generators
+    merged, zero exponents dropped, sorted by name.  Raises ValueError on a
+    bad name or a negative exponent and TypeError on a non-int exponent."""
+    acc: dict[str, int] = {}
+    for name, e in factors:
+        generator_degree(name)
+        e = operator.index(e)
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        if e:
+            acc[name] = acc.get(name, 0) + e
     return tuple(sorted(acc.items()))
 
 
@@ -52,12 +63,11 @@ class ChernPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict[Monomial, int]] = None):
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for mon, coeff in terms.items():
-                if coeff:
-                    clean[tuple(sorted(mon))] = int(coeff)
-        self.terms = clean
+        acc: dict[Monomial, int] = {}
+        for mon, coeff in (terms or {}).items():
+            mon = monomial(mon)
+            acc[mon] = acc.get(mon, 0) + operator.index(coeff)
+        self.terms = {mon: coeff for mon, coeff in acc.items() if coeff}
 
     # -- constructors ------------------------------------------------------
 
@@ -67,7 +77,7 @@ class ChernPoly:
 
     @staticmethod
     def const(k: int) -> "ChernPoly":
-        return ChernPoly({(): k}) if k else ChernPoly()
+        return ChernPoly({(): k})
 
     @staticmethod
     def one() -> "ChernPoly":
@@ -75,26 +85,12 @@ class ChernPoly:
 
     @staticmethod
     def gen(name: str, exp: int = 1) -> "ChernPoly":
-        generator_degree(name)  # validates the name
-        if exp < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exp == 0:
-            return ChernPoly.one()
         return ChernPoly({((name, exp),): 1})
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other: Union["ChernPoly", int]) -> "ChernPoly":
-        if isinstance(other, ChernPoly):
-            return other
-        if isinstance(other, int):
-            return ChernPoly.const(other)
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other: Union["ChernPoly", int]) -> "ChernPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _poly(other)
         acc = dict(self.terms)
         for mon, coeff in other.terms.items():
             acc[mon] = acc.get(mon, 0) + coeff
@@ -106,22 +102,17 @@ class ChernPoly:
         return ChernPoly({mon: -c for mon, c in self.terms.items()})
 
     def __sub__(self, other: Union["ChernPoly", int]) -> "ChernPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-_poly(other))
 
     def __rsub__(self, other: Union["ChernPoly", int]) -> "ChernPoly":
-        return self._coerce(other) - self
+        return _poly(other) - self
 
     def __mul__(self, other: Union["ChernPoly", int]) -> "ChernPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _poly(other)
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mon = _mul_monomials(m1, m2)
+                mon = m1 + m2  # the constructor merges and sorts
                 acc[mon] = acc.get(mon, 0) + c1 * c2
         return ChernPoly(acc)
 
@@ -140,11 +131,14 @@ class ChernPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ChernPoly.const(other)
-        return isinstance(other, ChernPoly) and self.terms == other.terms
+        if not isinstance(other, (ChernPoly, int)):
+            return NotImplemented
+        return self.terms == _poly(other).terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     # -- queries -----------------------------------------------------------
@@ -153,7 +147,7 @@ class ChernPoly:
         return not self.terms
 
     def coefficient(self, mon: Monomial) -> int:
-        return self.terms.get(tuple(sorted(mon)), 0)
+        return self.terms.get(monomial(mon), 0)
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common cohomological degree of all terms; None for the zero
@@ -174,7 +168,7 @@ class ChernPoly:
 
     def substitute(self, name: str, value: Union["ChernPoly", int]) -> "ChernPoly":
         """Replace one generator by a polynomial (or integer)."""
-        value = self._coerce(value)
+        value = _poly(value)
         out = ChernPoly.zero()
         for mon, coeff in self.terms.items():
             piece = ChernPoly.const(coeff)
@@ -219,6 +213,12 @@ class ChernPoly:
     __repr__ = __str__
 
 
+def _poly(x: Union[ChernPoly, int]) -> ChernPoly:
+    """A polynomial as itself and an integer as a constant; anything without
+    ``__index__`` raises TypeError in the constructor."""
+    return x if isinstance(x, ChernPoly) else ChernPoly({(): x})
+
+
 def cgen(i: int) -> ChernPoly:
     """The standard generator ``c_i`` (cohomological degree 2i)."""
     return ChernPoly.gen(f"c{i}")
@@ -229,10 +229,14 @@ Components = Sequence[Union[ChernPoly, int]]
 
 def _component(c: Components, i: int) -> ChernPoly:
     """i-th entry of a component list; 0 outside the list."""
-    if i < 0 or i >= len(c):
-        return ChernPoly.zero()
-    entry = c[i]
-    return entry if isinstance(entry, ChernPoly) else ChernPoly.const(entry)
+    return _poly(c[i]) if 0 <= i < len(c) else ChernPoly.zero()
+
+
+def _convolution(a: Components, b: Components, j: int) -> ChernPoly:
+    """``sum_i a_i * b_(j-i)``, entries outside the lists read as 0."""
+    return sum((_component(a, i) * _component(b, j - i)
+                for i in range(max(0, j - len(b) + 1), min(j, len(a) - 1) + 1)),
+               ChernPoly.zero())
 
 
 def series_inverse(c: Components, cap: int) -> list[ChernPoly]:
@@ -249,12 +253,7 @@ def series_inverse(c: Components, cap: int) -> list[ChernPoly]:
         raise ValueError("series must start with component 1")
     s: list[ChernPoly] = [ChernPoly.one()]
     for j in range(1, cap + 1):
-        acc = ChernPoly.zero()
-        for i in range(1, j + 1):
-            ci = _component(c, i)
-            if not ci.is_zero():
-                acc = acc + ci * s[j - i]
-        s.append(-acc)
+        s.append(-_convolution(c, s, j))
     for j, conv in enumerate(series_product(c, s, cap)[1:], 1):
         if not conv.is_zero():
             raise ArithmeticError(f"inverse series failed self-check at index {j}")
@@ -264,9 +263,7 @@ def series_inverse(c: Components, cap: int) -> list[ChernPoly]:
 def series_product(a: Components, b: Components, cap: int) -> list[ChernPoly]:
     """Components ``0..cap`` of the product of the series with components
     ``a`` and ``b``: ``sum_i a_i * b_(j-i)`` for j = 0..cap."""
-    return [sum((_component(a, i) * _component(b, j - i)
-                 for i in range(max(0, j - len(b) + 1), min(j, len(a) - 1) + 1)),
-                ChernPoly.zero()) for j in range(cap + 1)]
+    return [_convolution(a, b, j) for j in range(cap + 1)]
 
 
 def schur_determinant(shape: Sequence[int], c: Components,

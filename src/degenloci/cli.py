@@ -73,7 +73,7 @@ def parse_ambient(spec: str) -> AmbientData:
         except ValueError as exc:
             raise ValueError(f"ambient file {path!r} is not JSON: {exc}") from None
         try:
-            return AmbientData(int(data["dim"]), tuple(data["betti"]))
+            return AmbientData(data["dim"], tuple(data["betti"]))
         except (KeyError, TypeError):
             raise ValueError(f"ambient file {path!r} must hold an object "
                              "with dim and a betti list") from None

@@ -41,9 +41,12 @@ class AmbientData(Record):
     betti: tuple[int, ...]
 
     def __post_init__(self):
+        b = tuple(self.betti)
+        # exact data only: a float, a string or a bool is refused, not rounded
+        if not all(type(x) is int for x in (self.dim, *b)):
+            raise ValueError("dimension and Betti numbers must be integers")
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        b = tuple(int(x) for x in self.betti)
         if any(x < 0 for x in b):
             raise ValueError("Betti numbers must be nonnegative")
         if len(b) > 2 * self.dim + 1 and any(b[2 * self.dim + 1:]):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chern import ChernPoly, Monomial, cgen, series_inverse, series_product
+from .chern import ChernPoly, Monomial, cgen, monomial, series_inverse, series_product
 from .errors import VerificationError
 from .intlinalg import cokernel
 from .partitions import BoxConstraint, enumerate_box_partitions
@@ -81,19 +81,16 @@ def isotropic_presentation(d: int, r: int) -> RingPresentation:
 def monomials_of_half_degree(num_generators: int, q: int) -> list[Monomial]:
     """Monomials in c_1..c_d of cohomological degree 2q, in the canonical
     order induced by lex-descending partition enumeration."""
-    out: list[Monomial] = []
-    for lam in enumerate_box_partitions(q, BoxConstraint(num_generators)):
-        exps: dict[int, int] = {}
-        for p in lam:
-            exps[p] = exps.get(p, 0) + 1
-        out.append(tuple(sorted((f"c{i}", e) for i, e in exps.items())))
-    return out
+    return [monomial((f"c{p}", 1) for p in lam)
+            for lam in enumerate_box_partitions(q, BoxConstraint(num_generators))]
 
 
 def relation_rows(pres: RingPresentation,
                   q: int) -> tuple[list[list[int]], list[Monomial]]:
     """Integer rows spanning the degree-2q piece of the relation ideal,
-    expressed in the monomial basis of that degree."""
+    expressed in the monomial basis of that degree: one row per relation and
+    monomial multiplier.  Multiplying by a monomial is injective on
+    monomials, so each term of the relation lands in its own column."""
     monos = monomials_of_half_degree(pres.num_generators, q)
     col = {m: i for i, m in enumerate(monos)}
     rows: list[list[int]] = []
@@ -105,10 +102,9 @@ def relation_rows(pres: RingPresentation,
         if h > q:
             continue
         for mono in monomials_of_half_degree(pres.num_generators, q - h):
-            shifted = rel * ChernPoly({mono: 1})
             row = [0] * len(col)
-            for mon, coeff in shifted.terms.items():
-                row[col[mon]] = coeff
+            for mon, coeff in rel.terms.items():
+                row[col[monomial(mon + mono)]] = coeff
             rows.append(row)
     return rows, monos
 

@@ -10,10 +10,12 @@ from degenloci.chern import (
     ChernPoly,
     cgen,
     generator_degree,
+    monomial,
     monomial_degree,
     qtilde,
     schur_determinant,
     series_inverse,
+    series_product,
 )
 
 c1, c2, c3, c4, c5 = (cgen(i) for i in range(1, 6))
@@ -56,11 +58,62 @@ def test_zero_coefficients_are_dropped():
     assert ChernPoly.const(0).is_zero()
 
 
+def test_monomial_is_canonical():
+    assert monomial([("c2", 1), ("c1", 2), ("c2", 3), ("c3", 0)]) == \
+        (("c1", 2), ("c2", 4))
+    assert monomial([("c1", 0)]) == ()
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        monomial([("c1", -1)])
+    with pytest.raises(ValueError, match="bad generator name"):
+        monomial([("q0", 1)])
+    with pytest.raises(TypeError):
+        monomial([("c1", 1.0)])
+
+
+def test_reordered_keys_sum_their_coefficients():
+    poly = ChernPoly({(("c2", 1), ("c1", 1)): 1, (("c1", 1), ("c2", 1)): 2})
+    assert poly == 3 * c1 * c2
+    assert poly.coefficient((("c2", 1), ("c1", 1))) == 3
+
+
+def test_repeated_generator_is_a_power():
+    assert ChernPoly({(("c1", 1), ("c1", 1)): 1}) == c1 ** 2
+
+
+def test_zero_exponent_is_one():
+    assert ChernPoly({(("c1", 0),): 1}) == 1
+    assert ChernPoly({(("c1", 0),): 2, (): -2}).is_zero()
+
+
+@pytest.mark.parametrize("key", [(("c1", -1),), (("q0", 1),), (("c1", 1), ("c", 2))])
+def test_bad_monomial_raises_at_construction(key):
+    with pytest.raises(ValueError):
+        ChernPoly({key: 1})
+    with pytest.raises(ValueError):
+        c1.coefficient(key)
+
+
+@pytest.mark.parametrize("terms", [{(): 1.5}, {(): 2.0}, {(("c1", 1),): "1"},
+                                   {(("c1", 1.0),): 1}])
+def test_non_int_coefficient_or_exponent_raises(terms):
+    with pytest.raises(TypeError):
+        ChernPoly(terms)
+
+
+def test_constant_hashes_like_its_int():
+    for k in (-2, 0, 3):
+        assert ChernPoly.const(k) == k and hash(ChernPoly.const(k)) == hash(k)
+    assert len({ChernPoly.const(3), 3}) == 1
+    assert len({ChernPoly.zero(), 0, c1}) == 2
+
+
 def test_integer_coercion():
     assert c1 + 0 == c1
     assert 2 * c1 == c1 + c1
     assert 1 - c1 == ChernPoly.one() - c1
     assert (c1 * 3).coefficient((("c1", 1),)) == 3
+    with pytest.raises(TypeError):
+        series_product([1, 1.5], [1], 1)
 
 
 @given(small_polys(), small_polys(), small_polys())

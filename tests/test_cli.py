@@ -95,10 +95,14 @@ def test_bad_parameters_exit_2(capsys):
     assert "ambient" in err
 
 
-@pytest.mark.parametrize("content", [None, "directory", "{not json",
-                                     '{"betti": [1]}', '{"dim": 1}', "[1, 2]"],
-                         ids=["missing", "directory", "invalid-json",
-                              "no-dim", "no-betti", "not-object"])
+@pytest.mark.parametrize("content", [
+    None, "directory", "{not json", '{"betti": [1]}', '{"dim": 1}', "[1, 2]",
+    '{"dim": 2, "betti": [1, 0, 1.9, 0, 1]}', '{"dim": 2.7, "betti": [1]}',
+    '{"dim": 2, "betti": "10101"}', '{"dim": true, "betti": [1, 0, 1]}',
+    '{"dim": 1, "betti": [true, 0, 1]}'],
+    ids=["missing", "directory", "invalid-json", "no-dim", "no-betti",
+         "not-object", "float-betti", "float-dim", "string-betti", "bool-dim",
+         "bool-betti"])
 def test_bad_ambient_file_exits_2(capsys, tmp_path, content):
     path = tmp_path / "space.json"
     if content == "directory":
@@ -176,6 +180,8 @@ _FUZZED = {
     ("betti", "general"): {"--ambient": _AMBIENT_SPECS, "--e": _SMALL,
                            "--f": _SMALL, "--r": _SMALL},
     ("betti", "skew"): {"--ambient": _AMBIENT_SPECS, "--e": _SMALL, "--r": _SMALL},
+    ("betti", "orthogonal"): {"--ambient": _AMBIENT_SPECS,
+                              "--case": st.sampled_from(("even", "odd", "both"))},
     ("cells", "enumerate"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL},
     ("cells", "verify"): {"--n": _SMALL, "--d": _SMALL, "--r": _SMALL,
                           "--p-max": _SMALL},

@@ -81,6 +81,14 @@ def test_ambient_rejects_bad_data():
         AmbientData(1, (1, -2))
 
 
+@pytest.mark.parametrize("dim, betti", [
+    (1, (1, 0.0, 1)), (1, (1, 0, 1.9)), (2.7, (1,)), (2.0, (1,)),
+    (True, (1,)), (1, (True, 0, 1)), (1, "101"), (1, (1, "0", 1))])
+def test_ambient_rejects_non_int_data(dim, betti):
+    with pytest.raises(ValueError, match="must be integers"):
+        AmbientData(dim, betti)
+
+
 # ---------------------------------------------------------------------------
 # morphism setups
 

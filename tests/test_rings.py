@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import degenloci.rings as rings
-from degenloci.chern import cgen, monomial_degree, series_inverse
+from degenloci.chern import ChernPoly, cgen, monomial_degree, series_inverse
 from degenloci.errors import VerificationError
 from degenloci.rings import (
     GradedTable,
+    RingPresentation,
     grassmannian_dimension,
     grassmannian_presentation,
     graded_table,
@@ -98,6 +99,16 @@ def test_relation_rows_are_homogeneous():
     rows, monos = relation_rows(pres, 4)
     assert len(monos) == 3
     assert all(len(row) == 3 for row in rows)
+
+
+def test_relation_rows_reject_zero_and_inhomogeneous_relations():
+    c1, c2 = cgen(1), cgen(2)
+    zero = RingPresentation("hand-built", (), 2, (c1 ** 2 - c2, ChernPoly.zero()))
+    with pytest.raises(VerificationError, match="relation is zero"):
+        relation_rows(zero, 3)
+    mixed = RingPresentation("hand-built", (), 2, (c1 + c2,))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        relation_rows(mixed, 3)
 
 
 # ---------------------------------------------------------------------------
