@@ -36,12 +36,13 @@ def cache_key(command: str, parameters: dict, format_version: int) -> str:
 class ResultCache:
     """Maps computation keys to JSON payloads under one directory.
 
-    With ``directory=None`` every lookup misses and stores are dropped,
-    so callers never need to branch on whether caching is active.
+    With ``directory`` None or empty every lookup misses and stores are
+    dropped, so callers never need to branch on whether caching is active.
+    An empty directory name means no cache, not the current directory.
     """
 
     def __init__(self, directory: Optional[os.PathLike | str]):
-        self.directory = Path(directory) if directory is not None else None
+        self.directory = Path(directory) if directory not in (None, "") else None
         self.hits = 0
         self.misses = 0
 

@@ -12,7 +12,13 @@ key and the renderers all read that table.
 JSON output is rendered by :func:`_json_text` to exactly the bytes of
 ``json.dumps(envelope, indent=2, sort_keys=True)``.  The stdlib gives up its
 C encoder whenever ``indent`` is set, and its pure-Python generator chain
-took most of the time of large commands such as ``cells enumerate``.
+took most of the time of large commands such as ``cells enumerate``.  A
+list of records, dicts sharing the same str keys such as those cells, is
+rendered a column at a time: ints come out of ``int.__repr__`` and lists of
+ints out of one ``repr`` of their column, as the stdlib writes them, and
+each record out of one ``%``-template.  Records go in chunks of a fixed
+size, so the column texts alive at once stay small and rendering holds less
+memory than one text per record would.
 
 Exit codes: 0 on success, 2 on invalid parameters, 3 when a verification
 subcommand finds a genuine failure.
@@ -181,7 +187,7 @@ def _betti_pretty(result: dict) -> list[str]:
 
 def _ring_csv(result: dict):
     return "degree,rank,torsion", [
-        [row["degree"], row["rank"], ";".join(str(t) for t in row["torsion"])]
+        [row["degree"], row["rank"], ";".join(map(str, row["torsion"]))]
         for row in result["rows"]]
 
 
@@ -327,10 +333,10 @@ COMMANDS = (
     Command(
         "cells enumerate", _CELL_SPACE, _cells_enumerate,
         lambda result: ("jumps,dimension", [
-            [" ".join(str(j) for j in cell["jumps"]), cell["dimension"]]
+            [" ".join(map(str, cell["jumps"])), cell["dimension"]]
             for cell in result["cells"]]),
         lambda result: [f"{result['total']} cells"] + [
-            f"  jumps ({','.join(str(j) for j in cell['jumps'])})  "
+            f"  jumps ({','.join(map(str, cell['jumps']))})  "
             f"dimension {cell['dimension']}" for cell in result["cells"]],
         help="cell decomposition of an isotropic Grassmannian in a "
              "degenerate form"),
@@ -439,11 +445,28 @@ def _result_ok(result) -> bool:
     return True
 
 
+_RECORD_CHUNK = 512
+
+
 def _json_text(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a value nested
     where ``pad`` starts a line.  Types are matched exactly, so a bool is
     never written as an int; anything not handled here (floats, empty
-    containers, dicts with non-str keys, subclasses) goes to the stdlib."""
+    containers, dicts with non-str keys, subclasses) goes to the stdlib.
+
+    A list of dicts that all have the same str keys (a record list, such as
+    the cells of ``cells enumerate``) is rendered a column at a time by
+    :func:`_json_records`.  An all-int column is ``int.__repr__`` of each
+    value, as the stdlib writes ints.  A column of non-empty lists of exact
+    ints is cut out of one ``repr`` of the column: such a list reprs as the
+    ``int.__repr__`` of its items joined by ``", "``, and no int text holds
+    ``", "`` or ``"]"``, so replacing ``", "`` by the item separator and
+    splitting at ``"]" + separator + "["`` yields each list's items exactly.
+    Any other column is rendered value by value, by this function.  One
+    ``%``-template per chunk, built from the sorted keys with ``%`` escaped,
+    then lays out each record with the stdlib's indentation and separators.
+    Records go :data:`_RECORD_CHUNK` at a time: the column texts of a whole
+    list would hold more memory at once than one text per record does."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -459,12 +482,53 @@ def _json_text(value, pad: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
             for key in sorted(value)]) + pad + "}"
     if (kind is list or kind is tuple) and value:
+        first = value[0]
         if all(type(item) is int for item in value):
             items = map(int.__repr__, value)
+        elif (set(map(type, value)) == {dict} and first
+              and all(type(key) is str for key in first)
+              and all(map(first.keys().__eq__, map(dict.keys, value)))):
+            items = _json_records(value, inner)
         else:
             items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _json_records(records, pad: str) -> list[str]:
+    """The texts of ``records``, non-empty dicts that all have the same str
+    keys, nested where ``pad`` starts a line: one text per chunk of
+    :data:`_RECORD_CHUNK` records, joined as :func:`_json_text` joins list
+    items, so joining the chunks that way gives its bytes."""
+    keys = sorted(records[0])
+    field_pad = pad + "  "
+    item_pad = field_pad + "  "
+    item_sep = "," + item_pad
+    labels = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+              for key in keys]
+    chunks = []
+    for start in range(0, len(records), _RECORD_CHUNK):
+        chunk = records[start:start + _RECORD_CHUNK]
+        columns, slots = [], []
+        for key in keys:
+            column = [record[key] for record in chunk]
+            kinds = set(map(type, column))
+            if kinds == {int}:
+                columns.append(map(int.__repr__, column))
+                slots.append("%s")
+            elif (kinds == {list} and all(column)
+                  and {type(item) for v in column for item in v} == {int}):
+                columns.append(repr(column)[2:-2].replace(", ", item_sep)
+                               .split("]" + item_sep + "["))
+                slots.append("[" + item_pad + "%s" + field_pad + "]")
+            else:
+                columns.append([_json_text(v, field_pad) for v in column])
+                slots.append("%s")
+        template = "{" + field_pad + ("," + field_pad).join(
+            [label + slot for label, slot in zip(labels, slots)]) + pad + "}"
+        chunks.append(("," + pad).join([template % fields
+                                        for fields in zip(*columns)]))
+    return chunks
 
 
 def _render(fmt: str, command: Command, envelope: dict) -> str:
@@ -472,7 +536,7 @@ def _render(fmt: str, command: Command, envelope: dict) -> str:
         return _json_text(envelope) + "\n"
     if fmt == "csv":
         header, rows = command.csv(envelope["result"])
-        return "\n".join([header] + [",".join(str(x) for x in row)
+        return "\n".join([header] + [",".join(map(str, row))
                                      for row in rows]) + "\n"
     return "\n".join(command.pretty(envelope["result"])) + "\n"
 

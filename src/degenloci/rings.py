@@ -17,6 +17,7 @@ monomial basis per degree), computed by exact integer elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .chern import ChernPoly, Monomial, cgen, monomial, series_inverse, series_product
@@ -78,20 +79,31 @@ def isotropic_presentation(d: int, r: int) -> RingPresentation:
     return RingPresentation("isotropic", (("d", d), ("r", r)), d, relations)
 
 
+@lru_cache(maxsize=256)
+def _monomials(num_generators: int, q: int) -> tuple[Monomial, ...]:
+    """The monomials of :func:`monomials_of_half_degree`, enumerated once per
+    (d, q): :func:`relation_rows` needs the same multipliers for every
+    relation, and :func:`graded_table` calls it for every degree.  The
+    monomials of one entry share their generator names, which keeps the
+    entries the cache holds small."""
+    names = [f"c{p}" for p in range(num_generators + 1)]
+    return tuple(monomial((names[p], 1) for p in lam)
+                 for lam in enumerate_box_partitions(q, BoxConstraint(num_generators)))
+
+
 def monomials_of_half_degree(num_generators: int, q: int) -> list[Monomial]:
     """Monomials in c_1..c_d of cohomological degree 2q, in the canonical
     order induced by lex-descending partition enumeration."""
-    return [monomial((f"c{p}", 1) for p in lam)
-            for lam in enumerate_box_partitions(q, BoxConstraint(num_generators))]
+    return list(_monomials(num_generators, q))
 
 
 def relation_rows(pres: RingPresentation,
-                  q: int) -> tuple[list[list[int]], list[Monomial]]:
+                  q: int) -> tuple[list[list[int]], tuple[Monomial, ...]]:
     """Integer rows spanning the degree-2q piece of the relation ideal,
     expressed in the monomial basis of that degree: one row per relation and
     monomial multiplier.  Multiplying by a monomial is injective on
     monomials, so each term of the relation lands in its own column."""
-    monos = monomials_of_half_degree(pres.num_generators, q)
+    monos = _monomials(pres.num_generators, q)
     col = {m: i for i, m in enumerate(monos)}
     rows: list[list[int]] = []
     for rel in pres.relations:
@@ -101,7 +113,7 @@ def relation_rows(pres: RingPresentation,
         h = deg // 2
         if h > q:
             continue
-        for mono in monomials_of_half_degree(pres.num_generators, q - h):
+        for mono in _monomials(pres.num_generators, q - h):
             row = [0] * len(col)
             for mon, coeff in rel.terms.items():
                 row[col[monomial(mon + mono)]] = coeff

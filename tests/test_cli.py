@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import degenloci.cli as cli
 from degenloci import FORMAT_VERSION
 from degenloci.cache import ResultCache
 from degenloci.cli import _cells_enumerate, _json_text, main, parse_ambient
@@ -384,6 +387,24 @@ def test_cache_env_var_and_override(capsys, tmp_path, monkeypatch):
     assert len(list(env_dir.glob("*.json"))) == 1
 
 
+@pytest.mark.parametrize("env, flag", [("", None), (None, ""), ("from-env", "")])
+def test_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch, env, flag):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if env is None:
+        monkeypatch.delenv("DEGENLOCI_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("DEGENLOCI_CACHE_DIR",
+                           env and str(tmp_path / env))
+    argv = _COUNT + ("--format", "json")
+    if flag is not None:
+        argv += ("--cache-dir", flag)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["result"]["count"] == 7
+    assert list(tmp_path.rglob("*")) == [work]
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -406,12 +427,68 @@ def test_json_text_matches_stdlib(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# Record lists (dicts sharing their str keys) take the column-wise path of
+# _json_text, chunk by chunk; random trees almost never build one.  The test
+# shrinks the chunk so that lists reaching past several chunk edges stay
+# small and a failure shrinks in seconds; test_json_output_matches_stdlib
+# renders several chunks of the real size.
+_AWKWARD = st.lists(st.sampled_from(["%", "%s", '", "', "]", "[", "a", '"',
+                                     "\u00e9", "\\"]), max_size=4).map("".join)
+_SHORT_INT_LISTS = st.lists(st.integers(-99, 99), min_size=1, max_size=3)
+_COLUMN_POOLS = st.one_of(  # the values one column draws from
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6),
+    st.lists(_SHORT_INT_LISTS, min_size=1, max_size=6),
+    st.lists(_SHORT_INT_LISTS, min_size=1, max_size=5).map(
+        lambda pool: pool + [[]]),
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.lists(st.sampled_from([10 ** 1000, -10 ** 1000])
+             | st.integers(-10 ** 1000, 10 ** 1000), min_size=1, max_size=3),
+    st.lists(st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=2),
+             min_size=1, max_size=4),
+    st.lists(_AWKWARD, min_size=1, max_size=4),
+    st.lists(st.integers(0, 9) | st.booleans() | st.none()
+             | st.lists(st.integers(0, 9), max_size=2), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _record_lists(draw, chunk):
+    count = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1]))
+    keys = draw(st.lists(_AWKWARD, min_size=1, max_size=4, unique=True))
+    pools = [draw(_COLUMN_POOLS) for _ in keys]
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    records = []
+    for _ in range(count):
+        fields = [(key, rnd.choice(pool)) for key, pool in zip(keys, pools)]
+        rnd.shuffle(fields)  # key order differs, the key set does not
+        records.append(dict(fields))
+    # half the lists are record lists; in the rest one record's keys differ
+    odd = draw(st.sampled_from([None, None, None, "extra", "missing", "renamed"]))
+    last = list(records[-1].items())
+    if odd == "extra":
+        records[-1] = dict(last + [("extra key", 0)])
+    elif odd == "missing":
+        records[-1] = dict(last[1:])
+    elif odd == "renamed":
+        records[-1] = dict(last[1:] + [("renamed key", last[0][1])])
+    return draw(st.sampled_from([records, tuple(records), {"%(r)s": records},
+                                 [[records]]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]))
+def test_json_text_matches_stdlib_on_record_lists(data, chunk):
+    value = data.draw(_record_lists(chunk))
+    with mock.patch.object(cli, "_RECORD_CHUNK", chunk):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_json_output_matches_stdlib(capsys):
-    code, out, _ = run_cli(capsys, "cells", "enumerate", "--n", "12", "--d", "4",
-                           "--r", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, "cells", "enumerate", "--n", "14", "--d", "7",
+                           "--r", "0", "--format", "json")
     assert code == 0
     envelope = json.loads(out)
-    assert envelope["result"]["total"] > 100
+    assert envelope["result"]["total"] > 6 * cli._RECORD_CHUNK
     assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import degenloci.rings as rings
 from degenloci.chern import ChernPoly, cgen, monomial_degree, series_inverse
 from degenloci.errors import VerificationError
+from degenloci.partitions import enumerate_box_partitions
 from degenloci.rings import (
     GradedTable,
     RingPresentation,
@@ -92,6 +93,26 @@ def test_monomial_order_is_frozen():
         (("c1", 3),),
     ]
     assert all(monomial_degree(m) == 6 for m in monos)
+
+
+def test_graded_table_enumerates_each_monomial_degree_once(monkeypatch):
+    calls = []
+
+    def counting(weight, box):
+        calls.append((box.max_part, weight))
+        return enumerate_box_partitions(weight, box)
+
+    monkeypatch.setattr(rings, "enumerate_box_partitions", counting)
+    rings._monomials.cache_clear()
+    try:
+        graded_table(grassmannian_presentation(3, 6), 18)
+        assert sorted(calls) == [(3, q) for q in range(10)]
+        # the public list is a copy: clearing it leaves the memo intact
+        monomials_of_half_degree(3, 2).clear()
+        assert monomials_of_half_degree(3, 2) == [(("c2", 1),), (("c1", 2),)]
+        assert len(calls) == 10
+    finally:
+        rings._monomials.cache_clear()
 
 
 def test_relation_rows_are_homogeneous():
