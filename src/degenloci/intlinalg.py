@@ -9,11 +9,14 @@ integer matrix Smith normal form computations", J. Symbolic Comput. 32,
 
     Smith(A) = I_k + Smith(residual),
 
-and the dense Smith reduction runs only on the small residual the pass
-leaves; an empty residual certifies that the cokernel is free.  Dense
-fraction-free (Bareiss) elimination and ranks modulo a prime remain as
-reference routines.  Inputs are lists of rows of Python ints; everything
-stays in exact arithmetic.
+and an empty residual certifies that the cokernel is free.  The Smith form
+of the residual comes from :func:`elementary_divisors`, a reduced Hermite
+reduction by unimodular 2x2 extended-gcd steps (after Kannan and Bachem,
+SIAM J. Comput. 8, 1979, and Domich, Kannan and Trotter, Math. Oper. Res.
+12, 1987): every step has determinant 1, so the Smith form is read off the
+diagonalized basis.  Dense fraction-free (Bareiss) elimination and ranks
+modulo a prime remain as reference routines.  Inputs are lists of rows of
+Python ints; everything stays in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -79,104 +82,83 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0; (a, 1, 0) when
+    a divides b."""
+    g, r, x, u, y, v = a, abs(b), 1, 0, 0, 1
+    while r:
+        q = g // r
+        g, r, x, u, y, v = r, g - q * r, u, x - q * u, v, y - q * v
+    return g, x, y if b > 0 else -y
+
+
+def _reduce(basis: dict[int, list[int]]) -> None:
+    """Reduce every entry in a pivot column modulo that column's pivot,
+    bottom row first, by subtracting multiples of the rows below."""
+    cols = sorted(basis)
+    for n in range(len(cols) - 2, -1, -1):
+        row = basis[cols[n]]
+        for k in cols[n + 1:]:
+            f = row[k] // basis[k][k]
+            if f:
+                row = [u - f * v for u, v in zip(row, basis[k])]
+        basis[cols[n]] = row
+
+
+def _hermite(rows: list[list[int]]) -> dict[int, list[int]]:
+    """Reduced row Hermite basis of the row span, keyed by pivot column.
+
+    Rows are inserted one at a time.  Where a row meets the basis row of its
+    leading column, a 2x2 extended-gcd step of determinant 1 gives the basis
+    row the positive gcd and clears that column of the inserted row.
+    Whenever a pivot changes the basis is reduced again, which is what keeps
+    the entries small.
+    """
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        for j in range(len(row)):
+            b = row[j]
+            if not b:
+                continue
+            piv = basis.get(j)
+            if piv is None:
+                basis[j] = row if b > 0 else [-v for v in row]
+                _reduce(basis)
+                break
+            g, x, y = _xgcd(piv[j], b)
+            s, t = piv[j] // g, b // g
+            if s != 1:
+                basis[j] = [x * v + y * u for v, u in zip(piv, row)]
+                _reduce(basis)
+            row = [s * u - t * v for u, v in zip(row, piv)]
+    return basis
+
+
 def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
     The length of the result is the rank; entries greater than 1 are the
-    torsion invariants of the cokernel ``Z^ncols / rowspan``.
+    torsion invariants of the cokernel ``Z^ncols / rowspan``.  Certificate:
+    the reduced Hermite basis of the rows, transposed and reduced again
+    until it is diagonal, comes from A by unimodular row and column steps
+    only, so A and the diagonal have the same Smith form; pairwise gcd and
+    lcm then put the diagonal in divisibility order.
     """
-    m = [list(map(int, row)) for row in rows if any(row)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
+    m = [list(map(int, row)) for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
-
-    divisors: list[int] = []
-    top = 0  # active submatrix starts at (top, top) after column pruning
-    nrows = len(m)
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        best_val = None
-        for i in range(t, nrows):
-            row = m[i]
-            for j in range(t, ncols):
-                v = row[j]
-                if v:
-                    a = abs(v)
-                    if best_val is None or a < best_val:
-                        best, best_val = (i, j), a
-                        if a == 1:
-                            return best
-        return best
-
     while True:
-        pos = find_pivot(top)
-        if pos is None:
+        basis = _hermite(m)
+        if all(not any(row[j + 1:]) for j, row in basis.items()):
             break
-        pi, pj = pos
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        # clear the pivot column and row, re-picking a smaller pivot whenever
-        # a division leaves a remainder
-        while True:
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                v = m[i][top]
-                if not v:
-                    continue
-                q = v // piv
-                if q:
-                    for j in range(top, ncols):
-                        m[i][j] -= q * m[top][j]
-                if m[i][top]:
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, ncols):
-                v = m[top][j]
-                if not v:
-                    continue
-                q = v // piv
-                if q:
-                    for i in range(top, nrows):
-                        m[i][j] -= q * m[i][top]
-                if m[top][j]:
-                    for i in range(top, nrows):
-                        m[i][top], m[i][j] = m[i][j], m[i][top]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        # make the pivot divide every remaining entry
-        piv = m[top][top]
-        offender = None
-        for i in range(top + 1, nrows):
-            row = m[i]
-            for j in range(top + 1, ncols):
-                if row[j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                m[top][j] += m[offender][j]
-            continue
-        divisors.append(abs(piv))
-        top += 1
-        if top >= nrows or top >= ncols:
-            break
-
-    # collect any full-zero tail handled above; normalize the divisor chain
-    for k in range(len(divisors) - 1):
-        if divisors[k + 1] % divisors[k]:
-            raise ArithmeticError("Smith reduction produced a broken chain")
+        m = [list(col) for col in zip(*(basis[j] for j in sorted(basis)))]
+    divisors = [row[j] for j, row in sorted(basis.items())]
+    for i in range(len(divisors)):
+        for k in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[k])
+            divisors[i], divisors[k] = g, divisors[i] // g * divisors[k]
+    if any(b % a for a, b in zip(divisors, divisors[1:])):
+        raise ArithmeticError("Smith reduction produced a broken chain")
     return divisors
 
 
@@ -332,16 +314,10 @@ def _gauss_jordan(rows: list[dict[int, int]], columns) -> dict[int, dict[int, in
 
 
 def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Elementary divisors greater than 1 (the torsion of the cokernel).
-
-    Certificate: the unit-pivot pass uses only unimodular row operations,
-    and clearing a +-1 pivot row is a unimodular column operation, so
-    Smith(A) = I_k + Smith(residual) with k the number of unit pivots.  The
-    torsion is therefore read off a Smith reduction of the residual alone,
-    and an empty residual is itself the proof that the cokernel is free.
-    """
-    _, residual = _unit_pivots(_sparse_rows(rows, len(rows[0]) if rows else 0))
-    return [d for d in elementary_divisors(_dense(residual)) if d > 1]
+    """Elementary divisors greater than 1 (the torsion of the cokernel),
+    read off the Hermite certificate of :func:`elementary_divisors` for the
+    whole matrix."""
+    return [d for d in elementary_divisors(rows) if d > 1]
 
 
 def cokernel(rows: Sequence[Sequence[int]], ncols: int
@@ -349,7 +325,8 @@ def cokernel(rows: Sequence[Sequence[int]], ncols: int
     """One elimination pass over the cokernel ``Z^ncols / rowspan``.
 
     Returns (rank of the row span, torsion invariants, free columns).  Rank
-    and torsion come as in :func:`torsion_invariants`.  The free columns
+    and torsion are the unit pivots plus :func:`elementary_divisors` of the
+    residual, by the certificate in the module docstring.  The free columns
     are exactly the non-pivot columns of :func:`fraction_free_echelon`:
     those are the complement of the left-greedy column basis, i.e. the
     right-greedy basis of the dual matroid, whose columns are those of a

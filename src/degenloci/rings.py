@@ -236,6 +236,8 @@ def restriction_report(d: int, n: int, r: int,
     """
     if n != 2 * r:
         raise ValueError(f"the isotropic side needs n = 2r, got n={n}, r={r}")
+    if up_to_half_degree is not None and up_to_half_degree < 0:
+        raise ValueError("up_to_half_degree must be nonnegative")
     iso, grass = isotropic_presentation(d, r), grassmannian_presentation(d, n)
     _containment_certificate(grass, iso)
     cap = isotropic_dimension(d, r) if up_to_half_degree is None else up_to_half_degree

@@ -142,6 +142,13 @@ def test_negative_q_max_exits_2(capsys):
     assert err == "degenloci: q_max must be nonnegative\n"
 
 
+def test_negative_up_to_exits_2(capsys):
+    code, out, err = run_cli(capsys, "restriction", "--d", "2", "--r", "3",
+                             "--up-to", "-1")
+    assert (code, out) == (2, "")
+    assert err == "degenloci: up_to_half_degree must be nonnegative\n"
+
+
 def test_bijection_with_many_parts_exits_0(capsys):
     code, out, err = run_cli(capsys, "partitions", "bijection", "--q-max", "2",
                              "--max-part", "3000")

@@ -1,7 +1,9 @@
 """Exact integer elimination against rational-arithmetic oracles."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +98,11 @@ def test_ragged_matrix_rejected():
         elementary_divisors([[1], [2, 3]])
     with pytest.raises(ValueError):
         torsion_invariants([[1, 2], [3]])
+    # a short zero row is ragged too, as in cokernel
+    with pytest.raises(ValueError):
+        elementary_divisors([[1, 2], [0]])
+    with pytest.raises(ValueError):
+        torsion_invariants([[2, 4], []])
     with pytest.raises(ValueError):
         cokernel([[1, 2], [3, 4]], 3)
 
@@ -154,11 +161,58 @@ def test_divisor_product_is_the_determinant(rows):
         assert prod(elementary_divisors(rows)) == abs(det)
 
 
-@settings(max_examples=200)
-@given(matrices)
-def test_torsion_agrees_with_smith_form(rows):
-    expected = [d for d in elementary_divisors(rows) if d > 1]
-    assert torsion_invariants(rows) == expected
+@st.composite
+def disguised_smith_forms(draw):
+    """``(U * diag(chain) * V, chain)`` for a random divisor chain and random
+    unimodular U and V, built as products of elementary row and column
+    operations (adding a multiple of another line, swapping, negating)."""
+    nrows, ncols = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    factors = draw(st.lists(st.integers(1, 4), max_size=min(nrows, ncols)))
+    chain = list(accumulate(factors, mul))
+    m = [[chain[i] if i == j and i < len(chain) else 0 for j in range(ncols)]
+         for i in range(nrows)]
+    for _ in range(draw(st.integers(0, 60))):
+        on_rows = draw(st.booleans())
+        lines = m if on_rows else [list(col) for col in zip(*m)]
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        f = draw(st.integers(-3, 3))
+        if i == j:
+            lines[i] = [-v for v in lines[i]]
+        elif f:
+            lines[i] = [u + f * v for u, v in zip(lines[i], lines[j])]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        m = lines if on_rows else [list(row) for row in zip(*lines)]
+    return m, chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(disguised_smith_forms())
+def test_elementary_divisors_recover_a_disguised_chain(case):
+    rows, chain = case
+    assert elementary_divisors(rows) == chain
+
+
+unit_free_matrices = st.integers(min_value=1, max_value=7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-200, 200).filter(lambda v: abs(v) != 1)
+                 | st.sampled_from([0, 2, -2, 3, 6]),
+                 min_size=ncols, max_size=ncols),
+        min_size=1, max_size=7,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)  # the first example imports sympy
+@given(unit_free_matrices)
+def test_elementary_divisors_match_sympy_without_units(rows):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
+    diagonal = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+    assert elementary_divisors(rows) == diagonal
 
 
 def test_torsion_known_cases():

@@ -196,6 +196,21 @@ def test_piece_with_a_residual_matches_dense_elimination():
     assert row.basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
 
 
+# (rank, torsion, free columns) of the G(5,11) pieces with the largest
+# residuals (238 x 27 and 444 x 38, entries of 49 and 62 bits), as the
+# textbook Smith reduction computed them in 20 s and several minutes
+@pytest.mark.parametrize("q, frozen", [
+    (27, (477, [], [477, 478, 479])),
+    (30, (673, [], [673])),
+])
+def test_grassmannian_5_11_large_residual_pieces_are_frozen(q, frozen):
+    from degenloci.intlinalg import cokernel
+
+    rows, monos = relation_rows(grassmannian_presentation(5, 11), q)
+    assert cokernel(rows, len(monos)) == frozen
+    assert len(monos) - frozen[0] == count_in_box(q, 6, 5)
+
+
 def test_basis_rows_match_rank():
     tbl = graded_table(grassmannian_presentation(2, 5), 12)
     for row in tbl.rows:
@@ -338,6 +353,8 @@ def test_restriction_report_rejects_bad_shapes():
         restriction_report(4, 6, 3)
     with pytest.raises(ValueError):
         restriction_report(0, 6, 3)
+    with pytest.raises(ValueError, match="up_to_half_degree"):
+        restriction_report(2, 6, 3, -1)
 
 
 def test_restriction_report_json():
