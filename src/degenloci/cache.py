@@ -67,7 +67,7 @@ class ResultCache:
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             payload = None
         if not isinstance(payload, dict) or not accept(payload):
             self.misses += 1

@@ -76,7 +76,7 @@ def parse_ambient(spec: str) -> AmbientData:
         except OSError as exc:
             raise ValueError(f"cannot read ambient file {path!r}: "
                              f"{exc.strerror}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"ambient file {path!r} is not JSON: {exc}") from None
         try:
             return AmbientData(data["dim"], tuple(data["betti"]))

@@ -14,14 +14,20 @@ of the residual comes from :func:`elementary_divisors`, a reduced Hermite
 reduction by unimodular 2x2 extended-gcd steps (after Kannan and Bachem,
 SIAM J. Comput. 8, 1979, and Domich, Kannan and Trotter, Math. Oper. Res.
 12, 1987): every step has determinant 1, so the Smith form is read off the
-diagonalized basis.  Dense fraction-free (Bareiss) elimination and ranks
-modulo a prime remain as reference routines.  Inputs are lists of rows of
-Python ints; everything stays in exact arithmetic.
+diagonalized basis.  The same Hermite routine gives the monomial basis of
+the quotient: a kernel basis of the residual, lifted through the unit
+pivots, and the pivot columns of that kernel taken from the right.  So the
+unit pass and :func:`_hermite` are the only eliminations :func:`cokernel`
+runs.  Dense fraction-free (Bareiss) elimination and ranks modulo a prime
+remain as reference routines.  Inputs are lists of rows of integers, read
+with ``operator.index`` (a float or a string raises TypeError); everything
+stays in exact arithmetic.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
+from operator import index
 from typing import Sequence
 
 
@@ -33,7 +39,7 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], int]:
     the pivot rows and columns chosen so far, so the last pivot is a
     maximal-rank minor of the matrix.
     """
-    m = [list(map(int, row)) for row in rows if any(row)]
+    m = [row for row in (list(map(index, row)) for row in rows) if any(row)]
     if not m:
         return 0, [], 1
     ncols = len(m[0])
@@ -144,7 +150,7 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     only, so A and the diagonal have the same Smith form; pairwise gcd and
     lcm then put the diagonal in divisibility order.
     """
-    m = [list(map(int, row)) for row in rows]
+    m = [list(map(index, row)) for row in rows]
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     while True:
@@ -164,7 +170,7 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of the matrix over the field with p elements."""
-    m = [[x % p for x in row] for row in rows]
+    m = [[index(x) % p for x in row] for row in rows]
     m = [row for row in m if any(row)]
     if not m:
         return 0
@@ -197,7 +203,7 @@ def _sparse_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, in
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        sparse = {j: int(v) for j, v in enumerate(row) if v}
+        sparse = {j: v for j, v in enumerate(map(index, row)) if v}
         if sparse:
             out.append(sparse)
     return out
@@ -213,104 +219,51 @@ def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> No
             del target[j]
 
 
-def _clear(row: dict[int, int], col: int, active: list[dict[int, int]],
-           pivots: dict[int, dict[int, int]], combine) -> list[dict[int, int]]:
-    """Record ``row`` as the pivot of ``col`` and clear ``col`` from every
-    other row with ``combine(other)``; returns the active rows that are
-    left nonzero."""
-    for other in pivots.values():
-        if col in other:
-            combine(other)
-    pivots[col] = row
-    left = []
-    for other in active:
-        if other is not row:
-            if col in other:
-                combine(other)
-            if other:
-                left.append(other)
-    return left
-
-
 def _pivot(row: dict[int, int], col: int, active: list[dict[int, int]],
            pivots: dict[int, dict[int, int]]) -> list[dict[int, int]]:
-    """Make ``row`` the pivot of the unit in ``col``, scaled to +1, and
-    clear ``col`` by unimodular row subtractions."""
+    """Record ``row``, scaled to +1 in ``col``, as the pivot of ``col`` and
+    clear ``col`` from every other row by unimodular row subtractions;
+    returns the active rows that are left nonzero."""
     if row[col] < 0:
         for j in row:
             row[j] = -row[j]
-    return _clear(row, col, active, pivots,
-                  lambda other: _subtract(other, other[col], row))
+    for other in [*pivots.values(), *active]:
+        if other is not row and col in other:
+            _subtract(other, other[col], row)
+    pivots[col] = row
+    return [other for other in active if other and other is not row]
 
 
 def _unit_pivots(rows: list[dict[int, int]]
                  ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
     """Gauss-Jordan elimination that pivots only on entries +-1.
 
-    Phase 1 sweeps the columns from last to first (in a lex-descending
-    monomial order the last column is the graded leading term) and takes
-    the sparsest row with a unit there; phase 2 then takes any unit left in
-    the residual, sparsest row first.  Returns the pivot rows keyed by
-    pivot column, each with entry +1 there and 0 in every other pivot
-    column, and the residual rows, which vanish in every pivot column.
+    Sweeps the columns the active rows touch from last to first (in a
+    lex-descending monomial order the last column is the graded leading
+    term), taking the sparsest row with a unit in each, and sweeps again
+    while the last sweep added a pivot, so no unit is left in the residual.
+    Returns the pivot rows keyed by pivot column, each with entry +1 there
+    and 0 in every other pivot column, and the residual rows, which vanish
+    in every pivot column.
     """
     pivots: dict[int, dict[int, int]] = {}
     active = rows
-    for col in range(max((max(row) for row in rows), default=-1), -1, -1):
-        best = None
-        for row in active:
-            if row.get(col) in (1, -1) and (best is None or len(row) < len(best)):
-                best = row
-        if best is not None:
-            active = _pivot(best, col, active, pivots)
-    while True:
-        best, best_col = None, -1
-        for row in active:
-            if best is not None and len(row) >= len(best):
-                continue
-            units = [j for j, v in row.items() if v in (1, -1)]
-            if units:
-                best, best_col = row, max(units)
-        if best is None:
-            return pivots, active
-        active = _pivot(best, best_col, active, pivots)
+    added = True
+    while added:
+        added = False
+        for col in sorted(set().union(*active), reverse=True):
+            best = min((row for row in active if row.get(col) in (1, -1)),
+                       key=len, default=None)
+            if best is not None:
+                active = _pivot(best, col, active, pivots)
+                added = True
+    return pivots, active
 
 
 def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
     """The rows restricted to the columns some row touches."""
     columns = sorted(set().union(*rows))
     return [[row.get(j, 0) for j in columns] for row in rows]
-
-
-def _cancel(target: dict[int, int], col: int, source: dict[int, int]) -> None:
-    """Clear ``target[col]`` with a combination ``a*target - f*source``,
-    then divide out the content of what is left (fraction-free)."""
-    a, f = source[col], target[col]
-    g = gcd(a, f)
-    a, f = a // g, f // g
-    if a != 1:
-        for j in target:
-            target[j] *= a
-    _subtract(target, f, source)
-    content = gcd(*target.values())
-    if content > 1:
-        for j in target:
-            target[j] //= content
-
-
-def _gauss_jordan(rows: list[dict[int, int]], columns) -> dict[int, dict[int, int]]:
-    """Fraction-free Gauss-Jordan elimination taking pivots in the given
-    column order.  Returns the pivot rows keyed by pivot column, each zero
-    in every other pivot column; the pivot columns are the greedy column
-    basis for that order."""
-    pivots: dict[int, dict[int, int]] = {}
-    active = rows
-    for col in columns:
-        row = min((r for r in active if col in r), key=len, default=None)
-        if row is not None:
-            active = _clear(row, col, active, pivots,
-                            lambda other: _cancel(other, col, row))
-    return pivots
 
 
 def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -330,31 +283,29 @@ def cokernel(rows: Sequence[Sequence[int]], ncols: int
     are exactly the non-pivot columns of :func:`fraction_free_echelon`:
     those are the complement of the left-greedy column basis, i.e. the
     right-greedy basis of the dual matroid, whose columns are those of a
-    kernel basis.  The kernel is read off the residual, lifted through the
-    reduced pivot rows (``x_c = -sum r_c[j] x_j``) and eliminated from the
-    right; it has only ``ncols - rank`` rows.
+    kernel basis.  The Hermite basis of ``[R^T | I]`` for the residual R
+    holds a Z-basis of ker R in its rows that vanish on R^T (Cohen, GTM
+    138, section 2.4); each is lifted through the reduced pivot rows
+    (``x_c = -sum r_c[j] x_j``), and the pivot columns of a Hermite basis
+    of the kernel, taken with its columns reversed, are its right-greedy
+    column basis.
     """
     pivots, residual = _unit_pivots(_sparse_rows(rows, ncols))
     divisors = elementary_divisors(_dense(residual))
     rank = len(pivots) + len(divisors)
-    # one kernel vector per non-pivot column f of the residual's reduction
-    reduced = _gauss_jordan(residual, sorted(set().union(*residual)))
-    scale = lcm(*(row[c] for c, row in reduced.items()))
+    rest = [j for j in range(ncols) if j not in pivots]
+    stacked = [[r.get(j, 0) for r in residual] + [int(j == k) for k in rest]
+               for j in rest]
     kernel = []
-    for f in range(ncols):
-        if f in pivots or f in reduced:
+    for lead, row in _hermite(stacked).items():
+        if lead < len(residual):
             continue
-        x = {f: scale}
-        for c, row in reduced.items():
-            if f in row:
-                x[c] = -scale * row[f] // row[c]
-        on_free = list(x.items())
-        for c, row in pivots.items():
-            lifted = -sum(row.get(j, 0) * v for j, v in on_free)
-            if lifted:
-                x[c] = lifted
-        kernel.append(x)
-    free = sorted(_gauss_jordan(kernel, range(ncols - 1, -1, -1)))
+        y = [(j, v) for j, v in zip(rest, row[len(residual):]) if v]
+        x = dict(y)
+        for c, pivot in pivots.items():
+            x[c] = -sum(pivot.get(j, 0) * v for j, v in y)
+        kernel.append([x.get(j, 0) for j in range(ncols - 1, -1, -1)])
+    free = sorted(ncols - 1 - j for j in _hermite(kernel))
     if len(free) != ncols - rank:
         raise ArithmeticError("kernel basis does not match the rank")
     return rank, [d for d in divisors if d > 1], free

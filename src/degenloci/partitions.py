@@ -92,12 +92,19 @@ class BoxConstraint:
     max_length: Optional[int] = None
 
 
+def _check_bounds(weight: int, max_part: int, max_length: Optional[int]) -> None:
+    """Raise ValueError on a negative weight or bound; None is no bound."""
+    for name, value in (("weight", weight), ("max_part", max_part),
+                        ("max_length", max_length)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 def _enumerate(cls, weight: int, max_part: int, max_length: Optional[int],
                strict: bool) -> list:
     """Partitions of ``weight``, parts <= max_part, at most max_length rows
     (any number when None), lex descending; distinct parts when ``strict``."""
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
+    _check_bounds(weight, max_part, max_length)
     out: list = []
 
     def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
@@ -149,12 +156,7 @@ def count_box_partitions(weight: int, max_part: int,
                          max_length: Optional[int] = None) -> int:
     """Number of partitions of ``weight`` with parts <= max_part and at most
     max_length rows (any number when None).  Exact integer arithmetic."""
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
-    if max_part < 0:
-        raise ValueError("max_part must be nonnegative")
-    if max_length is not None and max_length < 0:
-        raise ValueError("max_length must be nonnegative")
+    _check_bounds(weight, max_part, max_length)
     # box sides beyond ``top`` change no coefficient up to ``top``; rounding
     # ``top`` up to a power of two lets nearby weights share one series
     top = 1 << weight.bit_length()
@@ -176,10 +178,7 @@ def _strict_series(max_part: int, top: int) -> tuple[int, ...]:
 
 def count_strict_partitions(weight: int, max_part: int) -> int:
     """Number of strict partitions of ``weight`` with parts <= max_part."""
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
-    if max_part < 0:
-        raise ValueError("max_part must be nonnegative")
+    _check_bounds(weight, max_part, None)
     # as in count_box_partitions: parts above ``top`` change nothing
     top = 1 << weight.bit_length()
     return _strict_series(min(max_part, top), top)[weight]

@@ -102,10 +102,10 @@ def test_bad_parameters_exit_2(capsys):
     None, "directory", "{not json", '{"betti": [1]}', '{"dim": 1}', "[1, 2]",
     '{"dim": 2, "betti": [1, 0, 1.9, 0, 1]}', '{"dim": 2.7, "betti": [1]}',
     '{"dim": 2, "betti": "10101"}', '{"dim": true, "betti": [1, 0, 1]}',
-    '{"dim": 1, "betti": [true, 0, 1]}'],
+    '{"dim": 1, "betti": [true, 0, 1]}', "[" * 200000],
     ids=["missing", "directory", "invalid-json", "no-dim", "no-betti",
          "not-object", "float-betti", "float-dim", "string-betti", "bool-dim",
-         "bool-betti"])
+         "bool-betti", "deeply-nested"])
 def test_bad_ambient_file_exits_2(capsys, tmp_path, content):
     path = tmp_path / "space.json"
     if content == "directory":
@@ -306,6 +306,8 @@ _CORRUPTIONS = {
         env, format_version=FORMAT_VERSION + 1)),
     "examples-dict-result": (("examples", "run", "segre"),
                              lambda env: dict(env, result={})),
+    # text, written as it is: too deep for the JSON decoder's recursion
+    "deeply-nested": (_COUNT, lambda env: "[" * 200000),
 }
 
 
@@ -330,7 +332,8 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
     _, cold, _ = run_cli(capsys, *argv)
     run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     [path] = tmp_path.glob("*.json")
-    path.write_text(json.dumps(corrupt(json.loads(cold))))
+    corrupted = corrupt(json.loads(cold))
+    path.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
     caches = _capture_caches(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, cold, "")

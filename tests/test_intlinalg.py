@@ -6,7 +6,7 @@ from math import gcd, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenloci.intlinalg import (
     cokernel,
@@ -316,6 +316,26 @@ def test_cokernel_matches_sympy_smith_form(case):
     assert torsion == [d for d in diagonal if d > 1]
 
 
+@settings(max_examples=300)
+@given(cokernel_matrices, st.booleans())
+# the pivot on column 1 turns the 3 of the second row into a unit in column
+# 2, which a sweep from the right has already passed
+@example(([[0, 1, 2], [2, 1, 3]], 3), False)
+def test_unit_pass_leaves_no_unit(case, stacked):
+    from degenloci.intlinalg import _sparse_rows, _unit_pivots
+
+    rows, ncols = case
+    if stacked:
+        rows = _with_stacked_rows(rows)
+    pivots, residual = _unit_pivots(_sparse_rows(rows, ncols))
+    for c, row in pivots.items():
+        assert row[c] == 1 and not set(row) & (set(pivots) - {c})
+    assert not any(set(row) & set(pivots) for row in residual)
+    assert not any(v in (1, -1) for row in residual for v in row.values())
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in residual]
+    assert len(pivots) + integer_rank(dense) == integer_rank(rows)
+
+
 def test_cokernel_known_cases():
     assert cokernel([[2, 0], [0, 3]], 2) == (2, [6], [])
     assert cokernel([[2, 4], [6, 8], [-2, -4], [8, 12]], 2) == (2, [2, 4], [])
@@ -325,3 +345,28 @@ def test_cokernel_known_cases():
     # pivots on units from the right, yet the free columns are those of
     # left-to-right elimination
     assert cokernel([[1, 1, 0], [0, 1, 1]], 3) == (2, [], [2])
+    # no unit at all: the whole kernel comes from the residual
+    assert cokernel([[2, 4, 6], [4, 2, 0]], 3) == (2, [2, 6], [2])
+    # a unit pivot beside a residual: the kernel vectors of the residual
+    # are lifted through the pivot rows
+    assert cokernel([[1, 0, 2, 4], [0, 0, 2, 4]], 4) == (2, [2], [1, 3])
+    assert cokernel([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]], 4) == (2, [2], [2, 3])
+    # only the lift puts the residual's kernel vector e_0 on column 2
+    assert cokernel([[1, 0, 1], [0, 2, 0]], 3) == (2, [2], [2])
+    assert cokernel([], 0) == (0, [], [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: elementary_divisors([[2.5, 0], [0, 3]]),
+    lambda: torsion_invariants([[2, 0], [0, 3.0]]),
+    lambda: cokernel([[1.9, 0], [0, 2]], 2),
+    lambda: cokernel([[0.0, 1]], 2),
+    lambda: fraction_free_echelon([["3", 0]]),
+    lambda: integer_rank([[0.0, 0]]),
+    lambda: rank_mod_prime([[4.0, 1]], 2),
+], ids=["divisors", "torsion", "cokernel", "cokernel-zero", "echelon",
+        "rank-zero", "mod-prime"])
+def test_non_integer_entries_are_rejected(call):
+    # entries are read exactly, never truncated, so 2.5 cannot pass as 2
+    with pytest.raises(TypeError):
+        call()

@@ -200,6 +200,23 @@ def test_strict_count_rejects_negative_max_part():
             count(3, -2)
 
 
+@pytest.mark.parametrize("weight", [0, 5])
+def test_enumeration_rejects_negative_bounds_like_the_counters(weight):
+    # a negative bound is an error, not an unbounded or an empty box
+    cases = [
+        ("max_length", lambda: enumerate_box_partitions(weight, BoxConstraint(5, -1)),
+         lambda: count_box_partitions(weight, 5, -1)),
+        ("max_part", lambda: enumerate_box_partitions(weight, BoxConstraint(-2)),
+         lambda: count_box_partitions(weight, -2)),
+        ("max_part", lambda: enumerate_strict_partitions(weight, -1),
+         lambda: count_strict_partitions(weight, -1)),
+    ]
+    for bound, enumerate_, count in cases:
+        for call in (enumerate_, count):
+            with pytest.raises(ValueError, match=f"{bound} must be nonnegative"):
+                call()
+
+
 def test_box_counts_at_large_weights():
     # p(250), the number of all partitions of 250
     assert count_box_partitions(250, 250) == 230793554364681
