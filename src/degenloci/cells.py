@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 from typing import Optional
 
 from .partitions import count_box_partitions
@@ -46,7 +47,7 @@ class OrbitSignature:
     jumps: tuple[int, ...]
 
     def __post_init__(self):
-        j = tuple(int(x) for x in self.jumps)
+        j = tuple(map(index, self.jumps))
         if any(x < 1 for x in j):
             raise ValueError(f"jumps must be positive: {j}")
         if any(j[i] >= j[i + 1] for i in range(len(j) - 1)):

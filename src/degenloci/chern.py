@@ -274,12 +274,12 @@ def schur_determinant(shape: Sequence[int], c: Components,
     ``shape`` is padded with zeros up to ``size`` (default: its own length);
     component index 0 reads as 1 and negative or out-of-range indices as 0.
     """
-    parts = [int(p) for p in shape]
+    parts = list(map(operator.index, shape))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"shape not weakly decreasing: {shape!r}")
     if any(p < 0 for p in parts):
         raise ValueError(f"negative entry in shape: {shape!r}")
-    n = len(parts) if size is None else int(size)
+    n = len(parts) if size is None else operator.index(size)
     if n < len([p for p in parts if p]):
         raise ValueError("size smaller than the number of nonzero parts")
     parts = (parts + [0] * n)[:n]
@@ -323,7 +323,7 @@ def qtilde(mu: Sequence[int], c: Components) -> ChernPoly:
     ``c_i*c_j + 2*sum_{k=1..j} (-1)^k c_(i+k)*c_(j-k)``, and longer shapes
     expand along the first row after padding odd lengths with a zero part.
     """
-    parts = [int(p) for p in mu if p != 0]
+    parts = [p for p in map(operator.index, mu) if p]
     if any(p <= 0 for p in parts):
         raise ValueError(f"parts must be positive: {mu!r}")
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):

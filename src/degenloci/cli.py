@@ -59,15 +59,15 @@ def parse_ambient(spec: str) -> AmbientData:
     """Read an ambient-space description.
 
     Accepted forms: ``point``, ``pn:N`` (projective N-space), ``torus:G``
-    (complex torus of dimension G) and ``file:PATH`` (JSON object with
-    ``dim`` and a ``betti`` list).  Anything unreadable raises ValueError.
+    (complex torus of dimension G), N and G in ASCII digits, and ``file:PATH``
+    (JSON object with ``dim`` and a ``betti`` list); else ValueError.
     """
     if spec == "point":
         return AmbientData.point()
-    if spec.startswith("pn:"):
-        return AmbientData.projective_space(int(spec[3:]))
-    if spec.startswith("torus:"):
-        return AmbientData.abelian_variety(int(spec[6:]))
+    kind, _, count = spec.partition(":")
+    if kind in ("pn", "torus") and count.isascii() and count.isdigit():
+        return (AmbientData.projective_space if kind == "pn"
+                else AmbientData.abelian_variety)(int(count))
     if spec.startswith("file:"):
         path = spec[5:]
         try:

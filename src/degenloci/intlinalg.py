@@ -2,10 +2,11 @@
 
 Graded ring tables need, per graded piece, the rank of a relation matrix A,
 the torsion of its cokernel and a monomial basis of the quotient.
-:func:`cokernel` gets all three from one sparse pass that pivots only on
-entries +-1 (after Dumas, Saunders and Villard, "On efficient sparse
-integer matrix Smith normal form computations", J. Symbolic Comput. 32,
-2001).  Every operation of that pass is unimodular, so with k unit pivots
+:func:`cokernel` gets all three from one sparse pass that inserts the rows
+one at a time and pivots only on entries +-1 (after Dumas, Saunders and
+Villard, "On efficient sparse integer matrix Smith normal form
+computations", J. Symbolic Comput. 32, 2001).  Every operation of that
+pass is unimodular, so with k unit pivots
 
     Smith(A) = I_k + Smith(residual),
 
@@ -219,45 +220,40 @@ def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> No
             del target[j]
 
 
-def _pivot(row: dict[int, int], col: int, active: list[dict[int, int]],
-           pivots: dict[int, dict[int, int]]) -> list[dict[int, int]]:
-    """Record ``row``, scaled to +1 in ``col``, as the pivot of ``col`` and
-    clear ``col`` from every other row by unimodular row subtractions;
-    returns the active rows that are left nonzero."""
-    if row[col] < 0:
-        for j in row:
-            row[j] = -row[j]
-    for other in [*pivots.values(), *active]:
-        if other is not row and col in other:
-            _subtract(other, other[col], row)
-    pivots[col] = row
-    return [other for other in active if other and other is not row]
-
-
 def _unit_pivots(rows: list[dict[int, int]]
                  ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
     """Gauss-Jordan elimination that pivots only on entries +-1.
 
-    Sweeps the columns the active rows touch from last to first (in a
-    lex-descending monomial order the last column is the graded leading
-    term), taking the sparsest row with a unit in each, and sweeps again
-    while the last sweep added a pivot, so no unit is left in the residual.
-    Returns the pivot rows keyed by pivot column, each with entry +1 there
-    and 0 in every other pivot column, and the residual rows, which vanish
-    in every pivot column.
+    Inserts the rows one at a time.  Each row is cleared of the pivot
+    columns it holds (the pivot rows are reduced, so one pass suffices);
+    if a +-1 is left, its largest column becomes the row's pivot (on ring
+    pieces the smallest leaves residuals and runs slower): the row is
+    scaled to +1 there and that column is cleared from the earlier pivot
+    rows.  Otherwise the row waits, and the waiting rows are inserted again
+    while the last pass added a pivot, so no unit is left in the residual.
+    Returns the pivot rows keyed by pivot column, each +1 there and 0 in
+    every other pivot column, and the residual rows, which vanish in all of them.
     """
     pivots: dict[int, dict[int, int]] = {}
-    active = rows
-    added = True
+    waiting, added = rows, True
     while added:
-        added = False
-        for col in sorted(set().union(*active), reverse=True):
-            best = min((row for row in active if row.get(col) in (1, -1)),
-                       key=len, default=None)
-            if best is not None:
-                active = _pivot(best, col, active, pivots)
-                added = True
-    return pivots, active
+        rows, waiting, added = waiting, [], False
+        for row in rows:
+            for c in [c for c in row if c in pivots]:
+                _subtract(row, row[c], pivots[c])
+            col = max((j for j, v in row.items() if v in (1, -1)), default=None)
+            if col is None:
+                waiting.append(row)
+                continue
+            if row[col] < 0:
+                for j in row:
+                    row[j] = -row[j]
+            for other in pivots.values():
+                if col in other:
+                    _subtract(other, other[col], row)
+            pivots[col] = row
+            added = True
+    return pivots, [row for row in waiting if row]
 
 
 def _dense(rows: list[dict[int, int]]) -> list[list[int]]:

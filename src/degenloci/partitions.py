@@ -18,7 +18,7 @@ from .tables import Record
 
 
 def _normalize(parts: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(p) for p in parts if p != 0)
+    out = tuple(p for p in map(operator.index, parts) if p)
     if min(out, default=0) < 0:
         raise ValueError(f"negative part in {parts!r}")
     if any(map(operator.lt, out, out[1:])):
@@ -92,19 +92,22 @@ class BoxConstraint:
     max_length: Optional[int] = None
 
 
-def _check_bounds(weight: int, max_part: int, max_length: Optional[int]) -> None:
-    """Raise ValueError on a negative weight or bound; None is no bound."""
-    for name, value in (("weight", weight), ("max_part", max_part),
-                        ("max_length", max_length)):
+def _check_bounds(weight: int, max_part: int, max_length: Optional[int]) -> tuple:
+    """The weight and bounds read with ``operator.index`` (None is no
+    bound); raises ValueError on a negative one."""
+    bounds = tuple(v if v is None else operator.index(v)
+                   for v in (weight, max_part, max_length))
+    for name, value in zip(("weight", "max_part", "max_length"), bounds):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative")
+    return bounds
 
 
 def _enumerate(cls, weight: int, max_part: int, max_length: Optional[int],
                strict: bool) -> list:
     """Partitions of ``weight``, parts <= max_part, at most max_length rows
     (any number when None), lex descending; distinct parts when ``strict``."""
-    _check_bounds(weight, max_part, max_length)
+    weight, max_part, max_length = _check_bounds(weight, max_part, max_length)
     out: list = []
 
     def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
@@ -156,7 +159,7 @@ def count_box_partitions(weight: int, max_part: int,
                          max_length: Optional[int] = None) -> int:
     """Number of partitions of ``weight`` with parts <= max_part and at most
     max_length rows (any number when None).  Exact integer arithmetic."""
-    _check_bounds(weight, max_part, max_length)
+    weight, max_part, max_length = _check_bounds(weight, max_part, max_length)
     # box sides beyond ``top`` change no coefficient up to ``top``; rounding
     # ``top`` up to a power of two lets nearby weights share one series
     top = 1 << weight.bit_length()
@@ -178,7 +181,7 @@ def _strict_series(max_part: int, top: int) -> tuple[int, ...]:
 
 def count_strict_partitions(weight: int, max_part: int) -> int:
     """Number of strict partitions of ``weight`` with parts <= max_part."""
-    _check_bounds(weight, max_part, None)
+    weight, max_part, _ = _check_bounds(weight, max_part, None)
     # as in count_box_partitions: parts above ``top`` change nothing
     top = 1 << weight.bit_length()
     return _strict_series(min(max_part, top), top)[weight]

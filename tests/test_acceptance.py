@@ -45,8 +45,8 @@ def criterion(num, text, cap):
 
 def test_criterion_01_grassmannian_hilbert_functions(capsys):
     with criterion(1, "Grassmannian ring ranks are box-partition counts, "
-                      "torsion-free, for d <= n <= 8 in every degree", capsys):
-        for n in range(1, 9):
+                      "torsion-free, for d <= n <= 9 in every degree", capsys):
+        for n in range(1, 10):
             for d in range(1, n + 1):
                 dim = grassmannian_dimension(d, n)
                 # generators sit in half-degrees 1..d, so once d consecutive
@@ -65,8 +65,8 @@ def test_criterion_01_grassmannian_hilbert_functions(capsys):
 
 def test_criterion_02_isotropic_hilbert_functions(capsys):
     with criterion(2, "isotropic ring ranks match the nondegenerate cell "
-                      "histogram for d <= r <= 5; total 2^r when d = r", capsys):
-        for r in range(1, 6):
+                      "histogram for d <= r <= 6; total 2^r when d = r", capsys):
+        for r in range(1, 7):
             for d in range(1, r + 1):
                 dim = isotropic_dimension(d, r)
                 table = graded_table(isotropic_presentation(d, r),

@@ -63,6 +63,10 @@ def test_signature_validation():
         OrbitSignature((2, 2))
     with pytest.raises(ValueError):
         OrbitSignature((0, 1))
+    # not truncated to the jumps (1, 2)
+    for jumps in ((1.5, 2), ("1", 2)):
+        with pytest.raises(TypeError):
+            OrbitSignature(jumps)
 
 
 def test_incidence_and_kernel_count():

@@ -266,6 +266,21 @@ def test_schur_rejects_bad_shapes():
         schur_determinant([1, 1, 1], c, size=2)
 
 
+def test_non_integer_shapes_are_rejected():
+    # not truncated: schur_determinant([1.7], c) would read as c1
+    c = components(4)
+    cases = [
+        lambda: schur_determinant([1.7], c),
+        lambda: schur_determinant(["2"], c),
+        lambda: schur_determinant([1], c, size=2.0),
+        lambda: qtilde([2.2, 1], c),
+        lambda: qtilde(["3"], c),
+    ]
+    for call in cases:
+        with pytest.raises(TypeError):
+            call()
+
+
 @given(
     shape=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
     .map(lambda xs: sorted(xs, reverse=True)),

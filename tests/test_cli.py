@@ -98,6 +98,20 @@ def test_bad_parameters_exit_2(capsys):
     assert "ambient" in err
 
 
+@pytest.mark.parametrize("spec", [
+    "pn:1_0", "pn:\u0663", "pn: 3", "pn:", "pn:+3", "pn:-1", "torus:",
+    "torus:2.0"])
+def test_ambient_count_takes_ascii_digits_only(capsys, spec):
+    # int() would read "1_0" as 10 and an Arabic-Indic three or " 3" as 3
+    with pytest.raises(ValueError, match="cannot read ambient space"):
+        parse_ambient(spec)
+    code, out, err = run_cli(capsys, "betti", "general", "--ambient", spec,
+                             "--e", "1", "--f", "1", "--r", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"degenloci: cannot read ambient space {spec!r}; "
+                   "use point, pn:N, torus:G or file:PATH\n")
+
+
 @pytest.mark.parametrize("content", [
     None, "directory", "{not json", '{"betti": [1]}', '{"dim": 1}', "[1, 2]",
     '{"dim": 2, "betti": [1, 0, 1.9, 0, 1]}', '{"dim": 2.7, "betti": [1]}',

@@ -318,9 +318,12 @@ def test_cokernel_matches_sympy_smith_form(case):
 
 @settings(max_examples=300)
 @given(cokernel_matrices, st.booleans())
-# the pivot on column 1 turns the 3 of the second row into a unit in column
-# 2, which a sweep from the right has already passed
+# clearing the pivot of column 1 from the second row turns its 3 into a
+# unit in column 2, which only the reduced row shows
 @example(([[0, 1, 2], [2, 1, 3]], 3), False)
+# the first row has no unit until the second row's pivot clears column 1,
+# so it waits for the next pass
+@example(([[2, 3], [1, 1]], 2), False)
 def test_unit_pass_leaves_no_unit(case, stacked):
     from degenloci.intlinalg import _sparse_rows, _unit_pivots
 

@@ -217,6 +217,23 @@ def test_enumeration_rejects_negative_bounds_like_the_counters(weight):
                 call()
 
 
+def test_non_integer_parts_and_bounds_are_rejected():
+    # a float or a string is an error, not a part or a bound rounded to an int
+    cases = [
+        lambda: Partition([2.5, 1]),
+        lambda: Partition(["3", 1]),
+        lambda: StrictPartition([3.0, 1]),
+        lambda: count_box_partitions(2.5, 3),
+        lambda: count_box_partitions(4, 3, 1.5),
+        lambda: count_strict_partitions(4.0, 3),
+        lambda: enumerate_box_partitions(2.0, BoxConstraint(2)),
+        lambda: enumerate_strict_partitions(3, 2.0),
+    ]
+    for call in cases:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_box_counts_at_large_weights():
     # p(250), the number of all partitions of 250
     assert count_box_partitions(250, 250) == 230793554364681

@@ -177,16 +177,16 @@ def test_table_vanishes_above_dimension():
     assert all(tbl.rank(degree) == 0 for degree in range(9, 15))
 
 
-def test_piece_with_a_residual_matches_dense_elimination():
-    # degree 34 of G(4,8) is one of the pieces where unit pivots run out
-    # and a Smith reduction of the residual certifies the torsion
+def test_piece_without_a_residual_matches_dense_elimination():
+    # degree 34 of G(4,8): the unit pivots alone certify the piece, so its
+    # Smith form needs no residual
     from degenloci.intlinalg import (
         _sparse_rows, _unit_pivots, elementary_divisors, fraction_free_echelon)
 
     pres = grassmannian_presentation(4, 8)
     rows, monos = relation_rows(pres, 17)
     _, residual = _unit_pivots(_sparse_rows(rows, len(monos)))
-    assert residual
+    assert not residual
     ideal_rank, pivots = fraction_free_echelon(rows)
     assert not [d for d in elementary_divisors(rows) if d > 1]
     row = graded_table(pres, 34).rows[34]
@@ -196,19 +196,34 @@ def test_piece_with_a_residual_matches_dense_elimination():
     assert row.basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
 
 
-# (rank, torsion, free columns) of the G(5,11) pieces with the largest
-# residuals (238 x 27 and 444 x 38, entries of 49 and 62 bits), as the
-# textbook Smith reduction computed them in 20 s and several minutes
+# (rank, torsion, free columns) of the two largest G(5,11) pieces, frozen
+# from an independent computation: a column sweep of unit pivots that left
+# 238 x 27 and 444 x 38 residuals (entries of 49 and 62 bits), then a
+# textbook Smith reduction of those; row insertion leaves no residual
 @pytest.mark.parametrize("q, frozen", [
     (27, (477, [], [477, 478, 479])),
     (30, (673, [], [673])),
 ])
-def test_grassmannian_5_11_large_residual_pieces_are_frozen(q, frozen):
-    from degenloci.intlinalg import cokernel
+def test_grassmannian_5_11_largest_pieces_are_frozen(q, frozen):
+    from degenloci.intlinalg import _sparse_rows, _unit_pivots, cokernel
 
     rows, monos = relation_rows(grassmannian_presentation(5, 11), q)
     assert cokernel(rows, len(monos)) == frozen
     assert len(monos) - frozen[0] == count_in_box(q, 6, 5)
+    assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1]
+
+
+@pytest.mark.parametrize("pres, top", [
+    (grassmannian_presentation(4, 8), 20),
+    (isotropic_presentation(4, 5), 22),
+], ids=["G(4,8)", "LG(4,5)"])
+def test_unit_pivots_leave_no_residual_on_ring_windows(pres, top):
+    # every graded piece of G(4,8) to degree 40 and LG(4,5) to degree 44
+    from degenloci.intlinalg import _sparse_rows, _unit_pivots
+
+    for q in range(top + 1):
+        rows, monos = relation_rows(pres, q)
+        assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1], q
 
 
 def test_basis_rows_match_rank():
