@@ -20,16 +20,18 @@ the quotient: a kernel basis of the residual, lifted through the unit
 pivots, and the pivot columns of that kernel taken from the right.  So the
 unit pass and :func:`_hermite` are the only eliminations :func:`cokernel`
 runs.  Dense fraction-free (Bareiss) elimination and ranks modulo a prime
-remain as reference routines.  Inputs are lists of rows of integers, read
-with ``operator.index`` (a float or a string raises TypeError); everything
-stays in exact arithmetic.
+remain as reference routines.  :func:`cokernel` reads sparse rows
+``{column: entry}``, the format :func:`degenloci.rings.relation_rows`
+builds; the other routines read dense lists of rows.  Entries are read with
+``operator.index`` (a float or a string raises TypeError); everything stays
+in exact arithmetic.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import index
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], int]:
@@ -197,14 +199,16 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-def _sparse_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, int]]:
-    """Nonzero rows as ``{column: entry}`` dicts, rejecting rows that do not
-    have ``ncols`` entries."""
+def _sparse_rows(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Copies of the rows ``{column: entry}`` with zero entries and empty
+    rows dropped, read with ``operator.index``; raises ValueError on a
+    column outside ``range(ncols)``."""
     out = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        sparse = {j: v for j, v in enumerate(map(index, row)) if v}
+        columns = list(map(index, row))
+        if columns and (min(columns) < 0 or max(columns) >= ncols):
+            raise ValueError(f"column outside range({ncols})")
+        sparse = {j: v for j, v in zip(columns, map(index, row.values())) if v}
         if sparse:
             out.append(sparse)
     return out
@@ -256,12 +260,6 @@ def _unit_pivots(rows: list[dict[int, int]]
     return pivots, [row for row in waiting if row]
 
 
-def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
-    """The rows restricted to the columns some row touches."""
-    columns = sorted(set().union(*rows))
-    return [[row.get(j, 0) for j in columns] for row in rows]
-
-
 def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
     """Elementary divisors greater than 1 (the torsion of the cokernel),
     read off the Hermite certificate of :func:`elementary_divisors` for the
@@ -269,29 +267,30 @@ def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
     return [d for d in elementary_divisors(rows) if d > 1]
 
 
-def cokernel(rows: Sequence[Sequence[int]], ncols: int
+def cokernel(rows: Iterable[Mapping[int, int]], ncols: int
              ) -> tuple[int, list[int], list[int]]:
-    """One elimination pass over the cokernel ``Z^ncols / rowspan``.
+    """One elimination pass over the cokernel ``Z^ncols / rowspan`` of
+    sparse rows ``{column: entry}``, which it leaves unchanged.
 
-    Returns (rank of the row span, torsion invariants, free columns).  Rank
-    and torsion are the unit pivots plus :func:`elementary_divisors` of the
-    residual, by the certificate in the module docstring.  The free columns
-    are exactly the non-pivot columns of :func:`fraction_free_echelon`:
-    those are the complement of the left-greedy column basis, i.e. the
-    right-greedy basis of the dual matroid, whose columns are those of a
-    kernel basis.  The Hermite basis of ``[R^T | I]`` for the residual R
-    holds a Z-basis of ker R in its rows that vanish on R^T (Cohen, GTM
-    138, section 2.4); each is lifted through the reduced pivot rows
-    (``x_c = -sum r_c[j] x_j``), and the pivot columns of a Hermite basis
-    of the kernel, taken with its columns reversed, are its right-greedy
-    column basis.
+    Returns (rank of the row span, torsion invariants, free columns).  The unit
+    pass inserts the rows by ascending largest column, which keeps ring pieces
+    sparse; by the module docstring's certificate, rank and torsion are its
+    pivots plus :func:`elementary_divisors` of R^T, which has the Smith form of
+    the residual R.  The free columns are exactly the non-pivot columns of
+    :func:`fraction_free_echelon`: the complement of the left-greedy column
+    basis, i.e. the right-greedy basis of the dual matroid, whose columns are
+    those of a kernel basis.  The Hermite basis of ``[R^T | I]`` holds a
+    Z-basis of ker R in its rows that vanish on R^T (Cohen, GTM 138, section
+    2.4); each is lifted through the reduced pivot rows (``x_c = -sum
+    r_c[j] x_j``), and the pivot columns of a Hermite basis of the kernel,
+    taken with its columns reversed, are its right-greedy column basis.
     """
-    pivots, residual = _unit_pivots(_sparse_rows(rows, ncols))
-    divisors = elementary_divisors(_dense(residual))
-    rank = len(pivots) + len(divisors)
+    pivots, residual = _unit_pivots(sorted(_sparse_rows(rows, ncols), key=max))
     rest = [j for j in range(ncols) if j not in pivots]
-    stacked = [[r.get(j, 0) for r in residual] + [int(j == k) for k in rest]
-               for j in rest]
+    transposed = [[r.get(j, 0) for r in residual] for j in rest]
+    divisors = elementary_divisors(transposed)
+    rank = len(pivots) + len(divisors)
+    stacked = [t + [int(j == k) for k in rest] for j, t in zip(rest, transposed)]
     kernel = []
     for lead, row in _hermite(stacked).items():
         if lead < len(residual):

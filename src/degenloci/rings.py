@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .chern import ChernPoly, Monomial, cgen, monomial, series_inverse, series_product
@@ -80,32 +81,35 @@ def isotropic_presentation(d: int, r: int) -> RingPresentation:
 
 
 @lru_cache(maxsize=256)
-def _monomials(num_generators: int, q: int) -> tuple[Monomial, ...]:
-    """The monomials of :func:`monomials_of_half_degree`, enumerated once per
-    (d, q): :func:`relation_rows` needs the same multipliers for every
-    relation, and :func:`graded_table` calls it for every degree.  The
-    monomials of one entry share their generator names, which keeps the
-    entries the cache holds small."""
-    names = [f"c{p}" for p in range(num_generators + 1)]
-    return tuple(monomial((names[p], 1) for p in lam)
-                 for lam in enumerate_box_partitions(q, BoxConstraint(num_generators)))
+def _monomials(d: int, q: int) -> tuple[tuple[tuple[int, ...], ...],
+                                        tuple[Monomial, ...]]:
+    """The monomials of :func:`monomials_of_half_degree` as exponent vectors
+    (entry i - 1 is the exponent of ``c_i``) and as monomials sharing their
+    generator names, enumerated once per (d, q): :func:`relation_rows` needs
+    the same multipliers for every relation, and :func:`graded_table` calls
+    it for every degree."""
+    names = [f"c{i}" for i in range(1, d + 1)]
+    vectors = tuple(tuple(map(lam.parts.count, range(1, d + 1)))
+                    for lam in enumerate_box_partitions(q, BoxConstraint(d)))
+    return vectors, tuple(monomial(zip(names, v)) for v in vectors)
 
 
 def monomials_of_half_degree(num_generators: int, q: int) -> list[Monomial]:
     """Monomials in c_1..c_d of cohomological degree 2q, in the canonical
     order induced by lex-descending partition enumeration."""
-    return list(_monomials(num_generators, q))
+    return list(_monomials(num_generators, q)[1])
 
 
 def relation_rows(pres: RingPresentation,
-                  q: int) -> tuple[list[list[int]], tuple[Monomial, ...]]:
-    """Integer rows spanning the degree-2q piece of the relation ideal,
-    expressed in the monomial basis of that degree: one row per relation and
-    monomial multiplier.  Multiplying by a monomial is injective on
-    monomials, so each term of the relation lands in its own column."""
-    monos = _monomials(pres.num_generators, q)
-    col = {m: i for i, m in enumerate(monos)}
-    rows: list[list[int]] = []
+                  q: int) -> tuple[list[dict[int, int]], tuple[Monomial, ...]]:
+    """Sparse rows ``{column: coefficient}`` spanning the degree-2q piece of
+    the relation ideal, column j standing for ``monos[j]``: one row per
+    relation and monomial multiplier.  Columns are keyed by exponent
+    vectors, so a product lands in the column of the sum of its factors'."""
+    d = pres.num_generators
+    vectors, monos = _monomials(d, q)
+    col = {v: i for i, v in enumerate(vectors)}
+    rows: list[dict[int, int]] = []
     for rel in pres.relations:
         deg = rel.homogeneous_degree()
         if deg is None or deg % 2:
@@ -113,11 +117,10 @@ def relation_rows(pres: RingPresentation,
         h = deg // 2
         if h > q:
             continue
-        for mono in _monomials(pres.num_generators, q - h):
-            row = [0] * len(col)
-            for mon, coeff in rel.terms.items():
-                row[col[monomial(mon + mono)]] = coeff
-            rows.append(row)
+        vector_of = dict(zip(*reversed(_monomials(d, h))))
+        terms = [(vector_of[mon], coeff) for mon, coeff in rel.terms.items()]
+        for m in _monomials(d, q - h)[0]:
+            rows.append({col[tuple(map(add, v, m))]: c for v, c in terms})
     return rows, monos
 
 
@@ -159,12 +162,10 @@ def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
         if p % 2:
             rows.append(GradedRow(p, 0, 0, (), ()))
             continue
-        q = p // 2
-        rel_rows, monos = relation_rows(pres, q)
+        rel_rows, monos = relation_rows(pres, p // 2)
         ideal_rank, torsion, free = cokernel(rel_rows, len(monos))
-        basis = tuple(monos[i] for i in free)
-        rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank,
-                              tuple(torsion), basis))
+        rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank, tuple(torsion),
+                              tuple(monos[i] for i in free)))
     return GradedTable(pres.label, dict(pres.params), up_to_degree, rows)
 
 

@@ -166,7 +166,8 @@ def test_criterion_09_qtilde_basis(capsys):
             for q in range(top + 1):
                 monos = monomials_of_half_degree(r, q)
                 columns = {m: i for i, m in enumerate(monos)}
-                rel_rows, _ = relation_rows(pres, q)
+                rel_rows = [[row.get(j, 0) for j in range(len(monos))]
+                            for row in relation_rows(pres, q)[0]]
                 rel_rank, _ = fraction_free_echelon(rel_rows)
                 assert torsion_invariants(rel_rows) == []
                 shapes = enumerate_strict_partitions(q, r)

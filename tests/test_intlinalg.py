@@ -98,13 +98,17 @@ def test_ragged_matrix_rejected():
         elementary_divisors([[1], [2, 3]])
     with pytest.raises(ValueError):
         torsion_invariants([[1, 2], [3]])
-    # a short zero row is ragged too, as in cokernel
+    # a short zero row is ragged too
     with pytest.raises(ValueError):
         elementary_divisors([[1, 2], [0]])
     with pytest.raises(ValueError):
         torsion_invariants([[2, 4], []])
-    with pytest.raises(ValueError):
-        cokernel([[1, 2], [3, 4]], 3)
+
+
+def test_cokernel_rejects_columns_outside_the_range():
+    for rows in ([{0: 1, 3: 4}], [{-1: 1}], [{1: 1}, {3: 0}]):
+        with pytest.raises(ValueError, match=r"column outside range\(3\)"):
+            cokernel(rows, 3)
 
 
 @given(
@@ -258,6 +262,12 @@ def test_large_entries_stay_exact():
 # the unit-pivot cokernel pass against the dense reference routines
 
 
+def _sparse(rows):
+    """Dense rows as the ``{column: entry}`` rows :func:`cokernel` reads,
+    zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def _matrices_over(entries):
     return st.integers(min_value=1, max_value=6).flatmap(
         lambda ncols: st.lists(
@@ -291,7 +301,7 @@ def test_cokernel_matches_echelon_and_smith(case, stacked):
     rows, ncols = case
     if stacked:
         rows = _with_stacked_rows(rows)
-    rank, torsion, free = cokernel(rows, ncols)
+    rank, torsion, free = cokernel(_sparse(rows), ncols)
     echelon_rank, pivots = fraction_free_echelon(rows)
     assert rank == echelon_rank
     assert free == [j for j in range(ncols) if j not in pivots]
@@ -311,7 +321,7 @@ def test_cokernel_matches_sympy_smith_form(case):
         return
     snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(len(rows), ncols)) if snf[i, i]]
-    rank, torsion, _ = cokernel(rows, ncols)
+    rank, torsion, _ = cokernel(_sparse(rows), ncols)
     assert rank == len(diagonal)
     assert torsion == [d for d in diagonal if d > 1]
 
@@ -330,7 +340,7 @@ def test_unit_pass_leaves_no_unit(case, stacked):
     rows, ncols = case
     if stacked:
         rows = _with_stacked_rows(rows)
-    pivots, residual = _unit_pivots(_sparse_rows(rows, ncols))
+    pivots, residual = _unit_pivots(_sparse_rows(_sparse(rows), ncols))
     for c, row in pivots.items():
         assert row[c] == 1 and not set(row) & (set(pivots) - {c})
     assert not any(set(row) & set(pivots) for row in residual)
@@ -340,35 +350,45 @@ def test_unit_pass_leaves_no_unit(case, stacked):
 
 
 def test_cokernel_known_cases():
-    assert cokernel([[2, 0], [0, 3]], 2) == (2, [6], [])
-    assert cokernel([[2, 4], [6, 8], [-2, -4], [8, 12]], 2) == (2, [2, 4], [])
-    assert cokernel([[2, 4, 0]], 3) == (1, [2], [1, 2])
+    assert cokernel(_sparse([[2, 0], [0, 3]]), 2) == (2, [6], [])
+    assert cokernel(_sparse([[2, 4], [6, 8], [-2, -4], [8, 12]]), 2) == (2, [2, 4], [])
+    assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [1, 2])
     assert cokernel([], 3) == (0, [], [0, 1, 2])
-    assert cokernel([[0, 0]], 2) == (0, [], [0, 1])
+    assert cokernel(_sparse([[0, 0]]), 2) == (0, [], [0, 1])
     # pivots on units from the right, yet the free columns are those of
     # left-to-right elimination
-    assert cokernel([[1, 1, 0], [0, 1, 1]], 3) == (2, [], [2])
+    assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [2])
     # no unit at all: the whole kernel comes from the residual
-    assert cokernel([[2, 4, 6], [4, 2, 0]], 3) == (2, [2, 6], [2])
+    assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [2])
     # a unit pivot beside a residual: the kernel vectors of the residual
     # are lifted through the pivot rows
-    assert cokernel([[1, 0, 2, 4], [0, 0, 2, 4]], 4) == (2, [2], [1, 3])
-    assert cokernel([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]], 4) == (2, [2], [2, 3])
+    assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (2, [2], [1, 3])
+    assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (2, [2], [2, 3])
     # only the lift puts the residual's kernel vector e_0 on column 2
-    assert cokernel([[1, 0, 1], [0, 2, 0]], 3) == (2, [2], [2])
+    assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [2])
     assert cokernel([], 0) == (0, [], [])
+
+
+def test_cokernel_leaves_its_input_unchanged():
+    # the unit pass reduces the second row to {0: 1} and clears column 0
+    # from the first, and the zero entry is dropped, all on copies
+    rows = [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]
+    assert cokernel(rows, 3) == (2, [], [2])
+    assert rows == [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]
+    assert list(rows[0]) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("call", [
     lambda: elementary_divisors([[2.5, 0], [0, 3]]),
     lambda: torsion_invariants([[2, 0], [0, 3.0]]),
-    lambda: cokernel([[1.9, 0], [0, 2]], 2),
-    lambda: cokernel([[0.0, 1]], 2),
+    lambda: cokernel(_sparse([[1.9, 0], [0, 2]]), 2),
+    lambda: cokernel(_sparse([[0.0, 1]]), 2),
+    lambda: cokernel([{0.0: 1}], 2),
     lambda: fraction_free_echelon([["3", 0]]),
     lambda: integer_rank([[0.0, 0]]),
     lambda: rank_mod_prime([[4.0, 1]], 2),
-], ids=["divisors", "torsion", "cokernel", "cokernel-zero", "echelon",
-        "rank-zero", "mod-prime"])
+], ids=["divisors", "torsion", "cokernel", "cokernel-zero", "cokernel-column",
+        "echelon", "rank-zero", "mod-prime"])
 def test_non_integer_entries_are_rejected(call):
     # entries are read exactly, never truncated, so 2.5 cannot pass as 2
     with pytest.raises(TypeError):

@@ -119,7 +119,7 @@ def test_relation_rows_are_homogeneous():
     pres = grassmannian_presentation(2, 4)
     rows, monos = relation_rows(pres, 4)
     assert len(monos) == 3
-    assert all(len(row) == 3 for row in rows)
+    assert all(set(row) <= set(range(3)) for row in rows)
 
 
 def test_relation_rows_reject_zero_and_inhomogeneous_relations():
@@ -130,6 +130,27 @@ def test_relation_rows_reject_zero_and_inhomogeneous_relations():
     mixed = RingPresentation("hand-built", (), 2, (c1 + c2,))
     with pytest.raises(ValueError, match="inhomogeneous"):
         relation_rows(mixed, 3)
+
+
+@pytest.mark.parametrize("build, m", [
+    (grassmannian_presentation, 12),
+    (isotropic_presentation, 11),
+], ids=["G(10,12)", "LG(10,11)"])
+def test_relation_rows_place_products_past_nine_generators(build, m):
+    # c10 sorts before c2 in a monomial, while exponent vectors index the
+    # generators by number: each row is a relation times a monomial, with
+    # each term of the product at its column in monos
+    pres = build(10, m)
+    for q in range(14):
+        rows, monos = relation_rows(pres, q)
+        column = {m: j for j, m in enumerate(monos)}
+        expected = [
+            {column[m]: c for m, c in (rel * ChernPoly({mono: 1})).terms.items()}
+            for rel in pres.relations if rel.homogeneous_degree() <= 2 * q
+            for mono in monomials_of_half_degree(10, q - rel.homogeneous_degree() // 2)
+        ]
+        assert rows == expected, q
+    assert (("c1", 1), ("c10", 1), ("c2", 1)) in monos
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +208,9 @@ def test_piece_without_a_residual_matches_dense_elimination():
     rows, monos = relation_rows(pres, 17)
     _, residual = _unit_pivots(_sparse_rows(rows, len(monos)))
     assert not residual
-    ideal_rank, pivots = fraction_free_echelon(rows)
-    assert not [d for d in elementary_divisors(rows) if d > 1]
+    dense = [[row.get(j, 0) for j in range(len(monos))] for row in rows]
+    ideal_rank, pivots = fraction_free_echelon(dense)
+    assert not [d for d in elementary_divisors(dense) if d > 1]
     row = graded_table(pres, 34).rows[34]
     assert (row.num_monomials, row.rank, row.torsion) == (
         len(monos), len(monos) - ideal_rank, ())
@@ -221,9 +243,12 @@ def test_unit_pivots_leave_no_residual_on_ring_windows(pres, top):
     # every graded piece of G(4,8) to degree 40 and LG(4,5) to degree 44
     from degenloci.intlinalg import _sparse_rows, _unit_pivots
 
+    # in the order of the relations and in the order cokernel inserts them
     for q in range(top + 1):
         rows, monos = relation_rows(pres, q)
         assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1], q
+        ordered = sorted(_sparse_rows(rows, len(monos)), key=max)
+        assert not _unit_pivots(ordered)[1], q
 
 
 def test_basis_rows_match_rank():
@@ -267,6 +292,38 @@ def test_rank_sequence_is_palindromic(d, extra):
     tbl = graded_table(grassmannian_presentation(d, n), 2 * dim)
     seq = [tbl.rank(2 * q) for q in range(dim + 1)]
     assert seq == seq[::-1]
+
+
+def complete_intersection_ranks(pres, top):
+    """Coefficients of t^0 .. t^top in prod_j (1 - t^h_j) / prod_i (1 - t^i),
+    h_j the half-degrees of the relations and i = 1 .. d those of the
+    generators; no elimination involved."""
+    series = [1] + [0] * top
+    for rel in pres.relations:
+        h = rel.homogeneous_degree() // 2
+        for k in range(top, h - 1, -1):
+            series[k] -= series[k - h]
+    for i in range(1, pres.num_generators + 1):
+        for k in range(i, top + 1):
+            series[k] += series[k - i]
+    return series
+
+
+@pytest.mark.parametrize("family, d, m", [
+    *(("grassmannian", d, n) for n in range(1, 8) for d in range(1, n + 1)),
+    *(("isotropic", d, r) for r in range(1, 6) for d in range(1, r + 1)),
+])
+def test_ranks_match_the_complete_intersection_series(family, d, m):
+    # the relations form a regular sequence, so every window's ranks are
+    # the coefficients of its complete-intersection Hilbert series
+    build, dimension = {
+        "grassmannian": (grassmannian_presentation, grassmannian_dimension),
+        "isotropic": (isotropic_presentation, isotropic_dimension),
+    }[family]
+    pres, top = build(d, m), dimension(d, m) + 1
+    tbl = graded_table(pres, 2 * top)
+    assert tbl.ranks()[::2] == complete_intersection_ranks(pres, top)
+    assert tbl.ranks()[1::2] == [0] * top
 
 
 def test_table_serialization_roundtrip():
