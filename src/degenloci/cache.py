@@ -8,12 +8,12 @@ misreading them.  A corrupt or unreadable entry is treated as a miss, and
 an entry that cannot be written is skipped.
 
 The cache is opt-in: pass a directory on the command line or set the
-``DEGENLOCI_CACHE_DIR`` environment variable.
+``DEGENLOCI_CACHE_DIR`` environment variable.  Without a cache directory
+no key is hashed, and ``hashlib`` (which loads OpenSSL) is never imported.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -21,16 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 ENV_CACHE_DIR = "DEGENLOCI_CACHE_DIR"
-
-
-def cache_key(command: str, parameters: dict, format_version: int) -> str:
-    """Content hash identifying one deterministic computation."""
-    canonical = json.dumps(
-        {"command": command, "parameters": parameters,
-         "format_version": format_version},
-        sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-    )
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 class ResultCache:
@@ -53,12 +43,27 @@ class ResultCache:
         directory = override if override is not None else os.environ.get(ENV_CACHE_DIR)
         return cls(directory)
 
-    def _path(self, key: str) -> Optional[Path]:
+    def key(self, command: str, parameters: dict,
+            format_version: int) -> Optional[str]:
+        """Content hash identifying one deterministic computation, or None
+        when the cache is off, so an uncached run never hashes."""
+        if self.directory is None:
+            return None
+        import hashlib  # loads OpenSSL; only a cached run needs it
+
+        canonical = json.dumps(
+            {"command": command, "parameters": parameters,
+             "format_version": format_version},
+            sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+        )
+        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+    def _path(self, key: Optional[str]) -> Optional[Path]:
         if self.directory is None:
             return None
         return self.directory / f"{key}.json"
 
-    def load(self, key: str, accept: Callable[[dict], bool]) -> Optional[dict]:
+    def load(self, key: Optional[str], accept: Callable[[dict], bool]) -> Optional[dict]:
         """The entry stored under ``key`` if it is a JSON object that
         ``accept`` takes; anything else counts as a miss."""
         path = self._path(key)
@@ -75,7 +80,7 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def store(self, key: str, payload: dict) -> None:
+    def store(self, key: Optional[str], payload: dict) -> None:
         path = self._path(key)
         if path is None:
             return

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from . import FORMAT_VERSION, __version__
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
 from .cells import cell_histogram, chow_ranks_decomposition, \
     enumerate_cells, verify_restriction_bounds_degenerate
 from .errors import OutsideValidityError, VerificationError
@@ -547,7 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     params = command.parameters(args)
 
     cache = ResultCache.from_environment(args.cache_dir)
-    key = cache_key(command.name, params, FORMAT_VERSION)
+    key = cache.key(command.name, params, FORMAT_VERSION)
     envelope = cache.load(key, lambda env: _replayable(env, command, params))
     if envelope is None:
         try:

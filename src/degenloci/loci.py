@@ -378,7 +378,9 @@ def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable
     """
     setup = MorphismSetup("general", e=e, f=f, r=r)
     valid_below = max(ambient.dim - setup.codimension(r), 0)
-    sums = (_shifted_sum(ambient, p, 2, lambda q: count_box_partitions(q, r, e - r))
+    # each weight q with 2q < valid_below is counted once
+    counts = [count_box_partitions(q, r, e - r) for q in range((valid_below + 1) // 2)]
+    sums = (_shifted_sum(ambient, p, 2, counts.__getitem__)
             for p in range(valid_below))
     return BettiTable(
         {p: b for p, b in enumerate(sums) if b}, valid_below,
@@ -398,7 +400,9 @@ def betti_skew(ambient: AmbientData, e: int, r: int) -> BettiTable:
     """
     setup = MorphismSetup("skew", e=e, r=r)
     valid_below = max(ambient.dim - setup.codimension(r), 0)
-    sums = (_shifted_sum(ambient, p, 4, lambda q: count_box_partitions(q, r))
+    # each weight q with 4q < valid_below is counted once
+    counts = [count_box_partitions(q, r) for q in range((valid_below + 3) // 4)]
+    sums = (_shifted_sum(ambient, p, 4, counts.__getitem__)
             for p in range(valid_below))
     return BettiTable(
         {p: b for p, b in enumerate(sums) if b}, valid_below,

@@ -29,7 +29,7 @@ from degenloci.loci import (
     verify_growth_inequalities,
     verify_growth_sweep,
 )
-from degenloci.partitions import count_strict_partitions
+from degenloci.partitions import count_box_partitions, count_strict_partitions
 
 
 def partitions_upto(weight, max_part, max_len):
@@ -418,6 +418,29 @@ def test_fibration_counts_each_weight_once(monkeypatch, base):
     assert total == fibration_ambient(base, fiber)
     nonzero_base = sum(1 for b in base.betti if b)
     assert len(calls) <= (fiber.fiber_dimension + 1) * nonzero_base
+
+
+@pytest.mark.parametrize("ambient", [AmbientData.projective_space(40),
+                                     AmbientData.abelian_variety(6)],
+                         ids=["pn40", "torus6"])
+@pytest.mark.parametrize("betti", [lambda x: betti_degeneracy(x, e=3, f=3, r=2),
+                                   lambda x: betti_skew(x, e=6, r=2)],
+                         ids=["general", "skew"])
+def test_betti_sums_count_each_weight_once(monkeypatch, ambient, betti):
+    # the multiplier of each weight is looked up once, not once per pair of
+    # degree and ambient degree
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return count_box_partitions(*args)
+
+    monkeypatch.setattr(loci, "count_box_partitions", counting)
+    table = betti(ambient)
+    monkeypatch.undo()
+    assert table == betti(ambient)
+    assert calls == sorted(set(calls))
+    assert len(calls) <= table.valid_below
 
 
 def test_lagrangian_shift_count_with_many_parts():
