@@ -10,9 +10,10 @@ land in the nondegenerate quotient.
 Nonemptiness is the pair condition ``(lam_i - k) + (lam_j - k) != 2r + 1``
 for the quotient positions; dimensions come from a two-block recursion plus
 a correction term mixing the blocks.  The additive Chow ranks decompose over
-the kernel incidence c, with the two block factors contributing
-multiplicatively; :func:`verify_restriction_bounds_degenerate` checks the
-resulting tables against the ambient ordinary Grassmannian.
+the kernel incidence c: for each c the two block factors are multiplied by
+the package's one shifted-series convolution, ``partitions._convolve``;
+:func:`verify_restriction_bounds_degenerate` checks the resulting tables
+against the ambient ordinary Grassmannian.
 
 :func:`enumerate_cells` lists every nonempty cell with its dimension in one
 recursion over jump sequences.  It validates the space once, then carries
@@ -35,7 +36,7 @@ from functools import lru_cache
 from operator import index
 from typing import Optional
 
-from .partitions import count_box_partitions
+from .partitions import _box_series, _convolve, count_box_partitions
 from .rings import graded_table, isotropic_dimension, isotropic_presentation
 from .tables import BettiTable, Record
 
@@ -200,25 +201,22 @@ def chow_ranks_decomposition(n: int, d: int, r: int,
     Stratifying by the kernel incidence c gives
     ``A_p = sum_c sum_(p'+p''=p-(k-c)(d-c))
     A_p'(G(c,k)) * A_p''(nondegenerate LG(d-c, 2r))``;
-    the ordinary factor is a box-partition count and the quotient factor
-    comes from the ring tables.  The output must (and, per the test suite,
+    the ordinary factor is the box series of G(c, k), the quotient factor
+    comes from the ring tables, and each c is one convolution of the two,
+    shifted by (k-c)(d-c).  The output must (and, per the test suite,
     does) match the histogram of orbit dimensions.
     """
     k = _validate_space(n, d, r)
     _validate_p_max(p_max)
     entries: dict[int, int] = {}
     for c in range(max(0, d - r), min(d, k) + 1):
-        shift = (k - c) * (d - c)
+        kernel_ranks = _box_series(c, k - c, c * (k - c))
         quotient_ranks = _nondegenerate_ranks_by_dimension(d - c, r)
-        for p1 in range(0, c * (k - c) + 1):
-            g_rank = count_box_partitions(p1, k - c, c)
-            if not g_rank:
-                continue
-            for p2, l_rank in enumerate(quotient_ranks):
-                if not l_rank:
-                    continue
-                p = p1 + p2 + shift
-                entries[p] = entries.get(p, 0) + g_rank * l_rank
+        top = len(kernel_ranks) + len(quotient_ranks) - 1
+        ranks = _convolve(quotient_ranks, kernel_ranks, 1, top)
+        for p, rank in enumerate(ranks, start=(k - c) * (d - c)):
+            if rank:
+                entries[p] = entries.get(p, 0) + rank
     if p_max is not None:
         entries = {p: v for p, v in entries.items() if p <= p_max}
     return BettiTable(

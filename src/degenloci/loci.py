@@ -18,8 +18,10 @@ weak-Lefschetz degree, and connectedness bounds for a given setup.
 What differs between the kinds is written once, in :class:`MorphismSetup`:
 its parameter rules, its expected codimension, and for general and skew
 loci the rank induction (degree step, allowance and codimension gap) of an
-:class:`_Induction` record.  The functions below ask the setup and never
-test the kind themselves.
+:class:`_Induction` record and the Betti sum of a :class:`_BoxSum` record.
+The functions below ask the setup and never test the kind themselves.
+Every shifted Betti sum, of a locus or of a bundle with cellular fibers,
+is one call of ``partitions._convolve``, the package's only convolution.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import product
 from math import comb
 from typing import Callable, Optional, Union
 
-from .partitions import count_box_partitions, count_strict_partitions
+from .partitions import _convolve, count_box_partitions, count_strict_partitions
 from .tables import BettiTable, Record
 
 
@@ -232,6 +234,26 @@ _INDUCTIONS = {
 }
 
 
+@dataclass(frozen=True)
+class _BoxSum:
+    """Below the expected dimension, each partition with parts <= r and at
+    most ``rows(e, r)`` rows (any number when None) adds a copy of the
+    ambient Betti numbers shifted by ``step`` per box.  ``assumptions`` are
+    what this rests on besides a smooth projective ambient space."""
+
+    step: int
+    rows: Callable[[int, int], Optional[int]]
+    assumptions: tuple[str, ...]
+
+
+_BOX_SUMS = {
+    "general": _BoxSum(2, lambda e, r: e - r,
+                       ("rank < r locus is empty", "the hom bundle is ample")),
+    "skew": _BoxSum(4, lambda e, r: None,
+                    ("rank < 2r locus is empty", "the twisted square bundle is ample")),
+}
+
+
 def max_lefschetz_general(dim_x: int, e: int, f: int, r: int) -> Optional[int]:
     """Largest m with the restriction to the locus bijective on H^p, p <= m:
     needs m//2 <= r and expected dimension at rank r - m//2 at least
@@ -361,13 +383,23 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
 # Betti calculators
 
 
-def _shifted_sum(ambient: AmbientData, p: int, step: int,
-                 mult: Callable[[int], int]) -> int:
-    """``sum_q mult(q) * b_(p - step*q)(X)``: degree p of the ambient Betti
-    numbers, one copy shifted by step*q for each of the mult(q) classes of
-    weight q.  Only the nonzero ambient degrees p - step*q are visited."""
-    return sum(mult((p - j) // step) * b for j, b in enumerate(ambient.betti[:p + 1])
-               if b and (p - j) % step == 0)
+def _betti_below_expected(ambient: AmbientData, setup: MorphismSetup) -> BettiTable:
+    """The Betti table of a general or skew locus strictly below its
+    expected dimension: ``b_p = sum_q N(q) * b_(p - step*q)(X)``, where N(q)
+    counts the partitions of weight q that the kind's :class:`_BoxSum` allows."""
+    box = _BOX_SUMS[setup.kind]
+    valid_below = max(ambient.dim - setup.codimension(setup.r), 0)
+    rows = box.rows(setup.e, setup.r)
+    # each weight q with step*q < valid_below is counted once
+    counts = [count_box_partitions(q, setup.r, rows)
+              for q in range((valid_below + box.step - 1) // box.step)]
+    sums = _convolve(ambient.betti, counts, box.step, valid_below)
+    return BettiTable(
+        {p: b for p, b in enumerate(sums) if b}, valid_below,
+        setup={**{key: value for key, value in setup.to_json_obj().items()
+                  if key in ("kind", "e", "f", "r")}, "dim_x": ambient.dim},
+        assumptions=(*box.assumptions, "ambient is smooth projective"),
+    )
 
 
 def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable:
@@ -376,19 +408,7 @@ def betti_degeneracy(ambient: AmbientData, e: int, f: int, r: int) -> BettiTable
     Valid strictly below the expected dimension: there
     ``b_p = sum over partitions in an (e-r) x r box of b_(p-2|shape|)(X)``.
     """
-    setup = MorphismSetup("general", e=e, f=f, r=r)
-    valid_below = max(ambient.dim - setup.codimension(r), 0)
-    # each weight q with 2q < valid_below is counted once
-    counts = [count_box_partitions(q, r, e - r) for q in range((valid_below + 1) // 2)]
-    sums = (_shifted_sum(ambient, p, 2, counts.__getitem__)
-            for p in range(valid_below))
-    return BettiTable(
-        {p: b for p, b in enumerate(sums) if b}, valid_below,
-        setup={"kind": "general", "e": e, "f": f, "r": r, "dim_x": ambient.dim},
-        assumptions=("rank < r locus is empty",
-                     "the hom bundle is ample",
-                     "ambient is smooth projective"),
-    )
+    return _betti_below_expected(ambient, MorphismSetup("general", e=e, f=f, r=r))
 
 
 def betti_skew(ambient: AmbientData, e: int, r: int) -> BettiTable:
@@ -398,19 +418,7 @@ def betti_skew(ambient: AmbientData, e: int, r: int) -> BettiTable:
     ``b_p = sum over partitions with parts <= r of b_(p-4|shape|)(X)``
     (any number of rows; the shift is four per box).
     """
-    setup = MorphismSetup("skew", e=e, r=r)
-    valid_below = max(ambient.dim - setup.codimension(r), 0)
-    # each weight q with 4q < valid_below is counted once
-    counts = [count_box_partitions(q, r) for q in range((valid_below + 3) // 4)]
-    sums = (_shifted_sum(ambient, p, 4, counts.__getitem__)
-            for p in range(valid_below))
-    return BettiTable(
-        {p: b for p, b in enumerate(sums) if b}, valid_below,
-        setup={"kind": "skew", "e": e, "r": r, "dim_x": ambient.dim},
-        assumptions=("rank < 2r locus is empty",
-                     "the twisted square bundle is ample",
-                     "ambient is smooth projective"),
-    )
+    return _betti_below_expected(ambient, MorphismSetup("skew", e=e, r=r))
 
 
 def betti_orthogonal_special(ambient: AmbientData, case: str) -> BettiTable:
@@ -508,10 +516,8 @@ def fibration_ambient(ambient: AmbientData, fiber: Fiber) -> AmbientData:
     """
     dim = ambient.dim + fiber.fiber_dimension
     # no cell has weight above the fiber dimension
-    counts = [fiber.shift_count(q) if q <= fiber.fiber_dimension else 0
-              for q in range(dim + 1)]
-    return AmbientData(dim, tuple(_shifted_sum(ambient, p, 2, counts.__getitem__)
-                                  for p in range(2 * dim + 1)))
+    counts = [fiber.shift_count(q) for q in range(fiber.fiber_dimension + 1)]
+    return AmbientData(dim, _convolve(ambient.betti, counts, 2, 2 * dim + 1))
 
 
 def fibration_betti(ambient: AmbientData, fiber: Fiber) -> BettiTable:

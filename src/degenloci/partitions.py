@@ -4,6 +4,10 @@ Everything downstream counts partitions inside a box (at most ``max_length``
 rows, each part at most ``max_part``) or strict partitions with bounded
 largest part.  Enumeration order is lexicographic descending and is part of
 the contract: serialized output must be reproducible byte for byte.
+
+:func:`_convolve` is the one shifted sum of counts: the Betti tables of
+:mod:`degenloci.loci`, the Chow ranks of :mod:`degenloci.cells` and the
+count identity of :func:`verify_doubling_bijection` all call it.
 """
 
 from __future__ import annotations
@@ -187,6 +191,24 @@ def count_strict_partitions(weight: int, max_part: int) -> int:
     return _strict_series(min(max_part, top), top)[weight]
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], step: int, top: int) -> list[int]:
+    """``out[p] = sum_q b[q] * a[p - step*q]`` for 0 <= p < top: one copy of
+    ``a`` shifted by step*q for each of the b[q] classes of weight q.  Only
+    nonzero entries meet, so at most (nonzero entries of a) x (nonzero
+    entries of b) products are formed."""
+    out = [0] * top
+    terms = [(j, x) for j, x in enumerate(a[:top]) if x]
+    for q, y in enumerate(b):
+        if not y:
+            continue
+        shift = step * q
+        for j, x in terms:
+            if j + shift >= top:
+                break
+            out[j + shift] += x * y
+    return out
+
+
 def _valid_by_construction(cls, parts: list[int]):
     """A ``cls`` holding ``parts`` without a second ``_normalize`` pass.
 
@@ -249,14 +271,11 @@ def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
         raise ValueError("q_max must be nonnegative")
     pairs = 0
     box = BoxConstraint(max_part)
-    for w in range(q_max + 1):
-        lhs = count_box_partitions(w, max_part)
-        rhs = 0
-        for s in range(w + 1):
-            t, rem = divmod(w - s, 2)
-            if rem:
-                continue
-            rhs += count_strict_partitions(s, max_part) * count_box_partitions(t, max_part)
+    boxed = [count_box_partitions(w, max_part) for w in range(q_max + 1)]
+    strict = [count_strict_partitions(s, max_part) for s in range(q_max + 1)]
+    # weight w = s + 2t: a strict partition of s and a doubled one of t
+    doubled = _convolve(strict, boxed, 2, q_max + 1)
+    for w, (lhs, rhs) in enumerate(zip(boxed, doubled)):
         if lhs != rhs:
             return DoublingReport(q_max, max_part, w, pairs, False,
                                   f"count mismatch at weight {w}: {lhs} != {rhs}")

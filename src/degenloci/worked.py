@@ -2,8 +2,8 @@
 
 Each check computes a Betti table twice: once through the degeneracy-locus
 machinery and once through an oracle that knows the answer independently
-(products of projective spaces, Grassmannians, the symmetric-product
-generating function).  Reports carry both tables and the first mismatch,
+(products of projective spaces, Grassmannians, Macdonald's formula for
+symmetric products).  Reports carry both tables and the first mismatch,
 if any; a healthy build has none.
 """
 
@@ -69,39 +69,14 @@ def product_projective_betti(a: int, b: int, p_max: int) -> list[int]:
 
 
 def symmetric_power_betti(g: int, d: int, p_max: int) -> list[int]:
-    """Betti numbers of the d-th symmetric power of a genus-g curve, read
-    off the generating function ``(1+tq)^(2g) / ((1-q)(1-t^2 q))`` as the
-    coefficient of q^d (a polynomial in t, truncated at t^p_max)."""
+    """Betti numbers of the d-th symmetric power of a genus-g curve by
+    Macdonald's formula (Topology 1, 1962): b_p is the sum of C(2g, j) over
+    j <= min(d, p) with j = p (mod 2) and (p - j)/2 <= d - j."""
     if g < 0 or d < 0:
         raise ValueError("g and d must be nonnegative")
-
-    def mul(series_a: list[list[int]], series_b: list[list[int]]) -> list[list[int]]:
-        out = [[0] * (p_max + 1) for _ in range(d + 1)]
-        for i, pa in enumerate(series_a):
-            for j, pb in enumerate(series_b):
-                if i + j > d:
-                    break
-                target = out[i + j]
-                for da, ca in enumerate(pa):
-                    if not ca:
-                        continue
-                    for db, cb in enumerate(pb):
-                        if not cb or da + db > p_max:
-                            continue
-                        target[da + db] += ca * cb
-        return out
-
-    # (1 + tq)^(2g) as a series in q with polynomial-in-t coefficients
-    binomial = [[0] * (p_max + 1) for _ in range(d + 1)]
-    for j in range(d + 1):
-        if j <= p_max:
-            binomial[j][j] = comb(2 * g, j)
-    geom_plain = [[1] + [0] * p_max for _ in range(d + 1)]  # 1/(1-q)
-    geom_even = [[0] * (p_max + 1) for _ in range(d + 1)]   # 1/(1 - t^2 q)
-    for m in range(d + 1):
-        if 2 * m <= p_max:
-            geom_even[m][2 * m] = 1
-    return mul(mul(binomial, geom_plain), geom_even)[d]
+    return [sum(comb(2 * g, j) for j in range(p % 2, min(d, p) + 1, 2)
+                if (p - j) // 2 <= d - j)
+            for p in range(p_max + 1)]
 
 
 def grassmannian_betti(d: int, n: int, p_max: int) -> list[int]:
@@ -161,7 +136,7 @@ def pluecker_check(m: int, p_max: Optional[int] = None) -> ExampleReport:
 def symmetric_product_check(g: int, d: int, p_max: Optional[int] = None
                             ) -> ExampleReport:
     """Symmetric powers of a curve as rank-drop loci over its degree-d
-    Picard torus; compare with the generating-function oracle below degree d.
+    Picard torus; compare with Macdonald's formula below degree d.
 
     Needs 2d < g + 2 so that generically no degree-d divisor moves in a
     pencil and the rank-drop model really is the symmetric power.

@@ -29,7 +29,6 @@ from degenloci.loci import (
     verify_growth_inequalities,
     verify_growth_sweep,
 )
-from degenloci.partitions import count_box_partitions, count_strict_partitions
 
 
 def partitions_upto(weight, max_part, max_len):
@@ -398,49 +397,87 @@ def test_fibration_betti_total_is_product_of_totals():
     assert sum(total.betti) == sum(base.betti) * 2 ** 3
 
 
+class _CountedInt(int):
+    """An int that records each product it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def _count_products(monkeypatch):
+    """Wrap the shared convolution as loci calls it; return the list of
+    ``(products formed, bound)`` per call, where the bound is (nonzero
+    entries of one side) x (nonzero entries of the other) among those
+    that can reach a degree below ``top``."""
+    real = loci._convolve
+    calls = []
+
+    def counting(a, b, step, top):
+        _CountedInt.products = 0
+        out = real([_CountedInt(x) for x in a], b, step, top)
+        sides = (a[:top], b[:(top + step - 1) // step])
+        nonzero = [sum(1 for x in side if x) for side in sides]
+        calls.append((_CountedInt.products, nonzero[0] * nonzero[1]))
+        return out
+
+    monkeypatch.setattr(loci, "_convolve", counting)
+    return calls
+
+
 @pytest.mark.parametrize("base", [AmbientData.point(),
                                   AmbientData.projective_space(3),
                                   AmbientData.abelian_variety(2)],
                          ids=["point", "pn3", "torus2"])
 def test_fibration_counts_each_weight_once(monkeypatch, base):
-    # the cells of each weight are counted at most once per nonzero base
-    # Betti number, however many degrees the total space has
-    calls = []
-
-    def counting(weight, max_part):
-        calls.append(weight)
-        return count_strict_partitions(weight, max_part)
-
-    monkeypatch.setattr(loci, "count_strict_partitions", counting)
+    # each cell meets each nonzero base Betti number at most once, however
+    # many degrees the total space has
+    calls = _count_products(monkeypatch)
     fiber = LagrangianBundle(6)
     total = fibration_ambient(base, fiber)
     monkeypatch.undo()
     assert total == fibration_ambient(base, fiber)
-    nonzero_base = sum(1 for b in base.betti if b)
-    assert len(calls) <= (fiber.fiber_dimension + 1) * nonzero_base
+    assert len(calls) == 1
+    formed, bound = calls[0]
+    assert 0 < formed <= bound
 
 
 @pytest.mark.parametrize("ambient", [AmbientData.projective_space(40),
-                                     AmbientData.abelian_variety(6)],
-                         ids=["pn40", "torus6"])
+                                     AmbientData.abelian_variety(6),
+                                     AmbientData.projective_space(2000)],
+                         ids=["pn40", "torus6", "pn2000"])
 @pytest.mark.parametrize("betti", [lambda x: betti_degeneracy(x, e=3, f=3, r=2),
                                    lambda x: betti_skew(x, e=6, r=2)],
                          ids=["general", "skew"])
 def test_betti_sums_count_each_weight_once(monkeypatch, ambient, betti):
-    # the multiplier of each weight is looked up once, not once per pair of
-    # degree and ambient degree
-    calls = []
-
-    def counting(*args):
-        calls.append(args[0])
-        return count_box_partitions(*args)
-
-    monkeypatch.setattr(loci, "count_box_partitions", counting)
+    # each weight's count meets each nonzero ambient Betti number at most
+    # once, instead of once per pair of degree and ambient degree
+    calls = _count_products(monkeypatch)
     table = betti(ambient)
     monkeypatch.undo()
     assert table == betti(ambient)
-    assert calls == sorted(set(calls))
-    assert len(calls) <= table.valid_below
+    assert len(calls) == 1
+    formed, bound = calls[0]
+    assert 0 < formed <= bound
+
+
+def test_betti_on_a_large_projective_space_has_closed_form():
+    # P^2000 and e = f = 3, r = 2: codimension 1, so p < 1999.  General:
+    # weights 0, 1, 2 fit the 1 x 2 box once each, so b_2m = min(m, 2) + 1.
+    # Skew with e = 6: parts <= 2 in any number of rows, floor(q/2) + 1 of
+    # weight q, so b_2m = sum over q <= m/2 of that, which is
+    # floor((floor(m/2) + 2)^2 / 4).
+    x = AmbientData.projective_space(2000)
+    general, skew = betti_degeneracy(x, 3, 3, 2), betti_skew(x, 6, 2)
+    assert general.valid_below == skew.valid_below == 1999
+    for p in range(1999):
+        m, odd = divmod(p, 2)
+        assert general.rank(p) == (0 if odd else min(m, 2) + 1)
+        assert skew.rank(p) == (0 if odd else (m // 2 + 2) ** 2 // 4)
 
 
 def test_lagrangian_shift_count_with_many_parts():
