@@ -8,33 +8,28 @@ the kernel of the form (an ordinary Grassmannian direction), the others
 land in the nondegenerate quotient.
 
 Nonemptiness is the pair condition ``(lam_i - k) + (lam_j - k) != 2r + 1``
-for the quotient positions; dimensions come from a two-block recursion plus
-a correction term mixing the blocks.  The additive Chow ranks decompose over
-the kernel incidence c: for each c the two block factors are multiplied by
-the package's one shifted-series convolution, ``partitions._convolve``;
-:func:`verify_restriction_bounds_degenerate` checks the resulting tables
-against the ambient ordinary Grassmannian.
-
-:func:`enumerate_cells` lists every nonempty cell with its dimension in one
-recursion over jump sequences.  It validates the space once, then carries
-both the pair condition and the dimension down the recursion: a table of
-the quotient positions used so far refuses a position q as soon as
-``2r+1-q`` is taken, and the dimension grows by each jump's term of the closed form
-(kernel jump x at kernel index c adds ``x - c - 1``; quotient position q at
-upper index u adds ``q - u - 1`` minus the earlier upper positions b with
-``b + q > 2r + 1``; the leaf adds the mixed term ``(k - c)(d - c)``).
+for the quotient positions.  So for each kernel incidence c a cell is a
+kernel block (any c-subset of 1..k) next to a quotient block (d - c
+pair-free positions in 1..2r); its dimension is the two blocks' cell
+dimensions plus the mixed term ``(k - c)(d - c)``.  :func:`enumerate_cells`
+joins the two blocks; :func:`cell_histogram` multiplies their dimension
+counts, so its work is the size of the blocks, not the number of cells.
+:func:`chow_ranks_decomposition` takes the same product over the ring
+tables, by the package's one shifted-series convolution
+``partitions._convolve``, and :func:`verify_restriction_bounds_degenerate`
+checks it against the histogram and the ambient ordinary Grassmannian.
 :class:`OrbitSignature`, :func:`is_admissible` and :func:`orbit_dimension`
-remain the validating reference for a single cell, against which the tests
-check the enumeration.
+remain the validating reference for a single cell.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from operator import index
-from typing import Optional
+from typing import Iterator, Optional
 
 from .partitions import _box_series, _convolve, count_box_partitions
 from .rings import graded_table, isotropic_dimension, isotropic_presentation
@@ -85,40 +80,38 @@ def _validate_space(n: int, d: int, r: int) -> int:
     return k
 
 
+def _quotient_tails(r: int, m_max: int) -> list[list[tuple[int, ...]]]:
+    """Entry m: every increasing m-tuple of positions in 1..2r with no two
+    summing to 2r + 1, in lexicographic order."""
+    pair = 2 * r + 1
+    tails: list[list[tuple[int, ...]]] = [[()]]
+    for m in range(m_max):
+        tails.append([up + (q,) for up in tails[m]
+                      for q in range(up[-1] + 1 if up else 1, pair)
+                      if pair - q not in up])
+    return tails
+
+
+def _blocks(n: int, d: int, r: int) -> Iterator[tuple]:
+    """Per kernel incidence c: the c-subsets of 1..k, and the quotient tails
+    as jumps past k, each with the cell dimension less the kernel jump sum."""
+    k = _validate_space(n, d, r)
+    low = max(0, d - r)
+    tails = _quotient_tails(r, d - low)
+    for c in range(low, min(d, k) + 1):
+        shift = (k - c) * (d - c) - c * (c + 1) // 2
+        yield (combinations(range(1, k + 1), c),
+               [(tuple(k + q for q in up),
+                 nondegenerate_cell_dimension(up, r) + shift) for up in tails[d - c]])
+
+
 def enumerate_cells(n: int, d: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     """``(jumps, dimension)`` of every nonempty cell, in lexicographic order
     of jump sequences; the dimension is that of :func:`orbit_dimension`."""
-    k = _validate_space(n, d, r)
-    pair = 2 * r + 1
     out: list[tuple[tuple[int, ...], int]] = []
-    chosen: list[int] = []
-    upper: list[int] = []            # quotient positions chosen, increasing
-    used = [False] * (pair + 1)      # used[q]: quotient position q chosen
-
-    def rec(start: int, c: int, dim: int) -> None:
-        depth = len(chosen)
-        if depth == d:
-            out.append((tuple(chosen), dim + (k - c) * (d - c)))
-            return
-        for x in range(start, n - (d - depth) + 2):
-            q = x - k
-            chosen.append(x)
-            if q <= 0:
-                rec(x + 1, c + 1, dim + x - c - 1)
-            elif not used[pair - q]:
-                u = len(upper)
-                crossing = u - bisect_right(upper, pair - q)
-                used[q] = True
-                upper.append(q)
-                rec(x + 1, c, dim + q - u - 1 - crossing)
-                upper.pop()
-                used[q] = False
-            chosen.pop()
-
-    rec(1, 0, 0)
-    # rec refers to itself through its closure; unbinding it breaks that
-    # cycle, so the cells are freed as soon as the caller drops them
-    del rec
+    for lows, ups in _blocks(n, d, r):
+        out += [(low + up, sum(low) + dim) for low in lows for up, dim in ups]
+    out.sort()  # merges the one ascending run each c gave
     return out
 
 
@@ -175,11 +168,17 @@ def orbit_dimension(sig: OrbitSignature, n: int, d: int, r: int) -> int:
 
 
 def cell_histogram(n: int, d: int, r: int) -> dict[int, int]:
-    """Number of cells of each dimension, by direct enumeration."""
-    hist: dict[int, int] = {}
-    for _, p in enumerate_cells(n, d, r):
-        hist[p] = hist.get(p, 0) + 1
-    return hist
+    """Number of cells of each dimension.  Each block is counted directly:
+    for every kernel incidence c, the jump sums of the c-subsets of 1..k
+    times the dimensions of the quotient tails, never the ring tables."""
+    hist: Counter[int] = Counter()
+    for lows, ups in _blocks(n, d, r):
+        kernel = Counter(map(sum, lows))
+        quotient = Counter(dim for _, dim in ups)
+        for a, x in kernel.items():
+            for b, y in quotient.items():
+                hist[a + b] += x * y
+    return dict(hist)
 
 
 @lru_cache(maxsize=None)

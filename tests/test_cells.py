@@ -1,12 +1,14 @@
 """Cell decomposition of degenerate isotropic Grassmannians."""
 
 import json
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degenloci.cells as cells
 from degenloci.cells import (
     OrbitSignature,
     cell_histogram,
@@ -120,6 +122,24 @@ def test_enumerate_cells_matches_brute_force(n):
                         for jumps in combinations(range(1, n + 1), d)
                         if pairwise_ok(jumps, k, r)]
             assert enumerate_cells(n, d, r) == expected, (n, d, r)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_histogram_counts_the_enumerated_dimensions(n):
+    # the histogram multiplies block counts; the enumeration lists cells
+    for r in range(n // 2 + 1):
+        for d in range(n - r + 1):
+            assert cell_histogram(n, d, r) == Counter(
+                p for _, p in enumerate_cells(n, d, r)), (n, d, r)
+
+
+def test_histogram_never_walks_the_cells(monkeypatch):
+    # 12 million cells: about a minute to walk one by one
+    def refuse(*args):
+        raise AssertionError("cell_histogram enumerated the cells")
+    monkeypatch.setattr(cells, "enumerate_cells", refuse)
+    report = verify_restriction_bounds_degenerate(28, 14, 4)
+    assert report.passed and report.histogram_matches
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, caching, rendering."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -558,6 +559,25 @@ def test_json_output_matches_stdlib(capsys):
     envelope = json.loads(out)
     assert envelope["result"]["total"] > 6 * cli._RECORD_CHUNK
     assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of `cells enumerate ... --format json` stdout, frozen at spaces
+# past the reach of the brute-force enumeration test (n <= 12)
+_FROZEN_ENUMERATIONS = {
+    ("18", "9", "3"):
+        "627e7ce8d9df5181e0c36a92bb774be5bbe61415b63e6dfe251b9f99ca3f8a2b",
+    ("19", "7", "3"):
+        "2b820f6c1389ddfc7690147d35275861cd8a05aa43af15700b069d2843cb296c",
+}
+
+
+@pytest.mark.parametrize("space", sorted(_FROZEN_ENUMERATIONS))
+def test_cells_enumerate_json_is_frozen(capsys, space):
+    n, d, r = space
+    code, out, _ = run_cli(capsys, "cells", "enumerate", "--n", n, "--d", d,
+                           "--r", r, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _FROZEN_ENUMERATIONS[space]
 
 
 def test_restriction_pretty(capsys):
