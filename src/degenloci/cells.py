@@ -15,8 +15,8 @@ dimensions plus the mixed term ``(k - c)(d - c)``.  :func:`enumerate_cells`
 joins the two blocks; :func:`cell_histogram` multiplies their dimension
 counts, so its work is the size of the blocks, not the number of cells.
 :func:`chow_ranks_decomposition` takes the same product over the ring
-tables, by the package's one shifted-series convolution
-``partitions._convolve``, and :func:`verify_restriction_bounds_degenerate`
+tables, through the box factors of the kernel Grassmannian and
+``partitions.multiply_by_factors``, and :func:`verify_restriction_bounds_degenerate`
 checks it against the histogram and the ambient ordinary Grassmannian.
 :class:`OrbitSignature`, :func:`is_admissible` and :func:`orbit_dimension`
 remain the validating reference for a single cell.
@@ -31,7 +31,7 @@ from itertools import combinations
 from operator import index
 from typing import Iterator, Optional
 
-from .partitions import _box_series, _convolve, count_box_partitions
+from .partitions import box_factors, count_box_partitions, multiply_by_factors
 from .rings import graded_table, isotropic_dimension, isotropic_presentation
 from .tables import BettiTable, Record
 
@@ -200,19 +200,17 @@ def chow_ranks_decomposition(n: int, d: int, r: int,
     Stratifying by the kernel incidence c gives
     ``A_p = sum_c sum_(p'+p''=p-(k-c)(d-c))
     A_p'(G(c,k)) * A_p''(nondegenerate LG(d-c, 2r))``;
-    the ordinary factor is the box series of G(c, k), the quotient factor
-    comes from the ring tables, and each c is one convolution of the two,
-    shifted by (k-c)(d-c).  The output must (and, per the test suite,
-    does) match the histogram of orbit dimensions.
+    the quotient factor comes from the ring tables, and each c multiplies
+    it, padded by dim G(c, k) = c(k-c), by the box factors of G(c, k), then
+    shifts by (k-c)(d-c).  The output must (and, per the test suite, does)
+    match the histogram of orbit dimensions.
     """
     k = _validate_space(n, d, r)
     _validate_p_max(p_max)
     entries: dict[int, int] = {}
     for c in range(max(0, d - r), min(d, k) + 1):
-        kernel_ranks = _box_series(c, k - c, c * (k - c))
-        quotient_ranks = _nondegenerate_ranks_by_dimension(d - c, r)
-        top = len(kernel_ranks) + len(quotient_ranks) - 1
-        ranks = _convolve(quotient_ranks, kernel_ranks, 1, top)
+        ranks = list(_nondegenerate_ranks_by_dimension(d - c, r)) + [0] * (c * (k - c))
+        multiply_by_factors(ranks, box_factors(c, k - c))
         for p, rank in enumerate(ranks, start=(k - c) * (d - c)):
             if rank:
                 entries[p] = entries.get(p, 0) + rank

@@ -95,12 +95,10 @@ def parse_ambient(spec: str) -> AmbientData:
 def _cells_enumerate(p: dict) -> dict:
     n, d, r = p["n"], p["d"], p["r"]
     cells = enumerate_cells(n, d, r)
-    return {
-        "n": n, "d": d, "r": r,
-        "cells": [{"jumps": list(jumps), "dimension": dim}
-                  for jumps, dim in cells],
-        "total": len(cells),
-    }
+    # each cell becomes its record in place: one copy of it is resident at a time
+    for i, (jumps, dim) in enumerate(cells):
+        cells[i] = {"jumps": list(jumps), "dimension": dim}
+    return {"n": n, "d": d, "r": r, "cells": cells, "total": len(cells)}
 
 
 def _verify_all() -> dict:

@@ -21,7 +21,7 @@ loci the rank induction (degree step, allowance and codimension gap) of an
 :class:`_Induction` record and the Betti sum of a :class:`_BoxSum` record.
 The functions below ask the setup and never test the kind themselves.
 Every shifted Betti sum, of a locus or of a bundle with cellular fibers,
-is one call of ``partitions._convolve``, the package's only convolution.
+is one call of ``partitions.multiply_by_factors``, the one series product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import product
 from math import comb
 from typing import Callable, Optional, Union
 
-from .partitions import _convolve, count_box_partitions, count_strict_partitions
+from .partitions import box_factors, multiply_by_factors, strict_factors
 from .tables import BettiTable, Record
 
 
@@ -386,14 +386,12 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
 def _betti_below_expected(ambient: AmbientData, setup: MorphismSetup) -> BettiTable:
     """The Betti table of a general or skew locus strictly below its
     expected dimension: ``b_p = sum_q N(q) * b_(p - step*q)(X)``, where N(q)
-    counts the partitions of weight q that the kind's :class:`_BoxSum` allows."""
+    counts the partitions of weight q in the kind's :class:`_BoxSum`: the
+    ambient series times that box's factors at stride ``step``."""
     box = _BOX_SUMS[setup.kind]
     valid_below = max(ambient.dim - setup.codimension(setup.r), 0)
-    rows = box.rows(setup.e, setup.r)
-    # each weight q with step*q < valid_below is counted once
-    counts = [count_box_partitions(q, setup.r, rows)
-              for q in range((valid_below + box.step - 1) // box.step)]
-    sums = _convolve(ambient.betti, counts, box.step, valid_below)
+    factors = box_factors(setup.r, box.rows(setup.e, setup.r))
+    sums = multiply_by_factors(list(ambient.betti[:valid_below]), factors, box.step)
     return BettiTable(
         {p: b for p, b in enumerate(sums) if b}, valid_below,
         setup={**{key: value for key, value in setup.to_json_obj().items()
@@ -476,8 +474,9 @@ class GrassmannBundle:
     def fiber_dimension(self) -> int:
         return self.d * (self.e - self.d)
 
-    def shift_count(self, q: int) -> int:
-        return count_box_partitions(q, self.e - self.d, self.d)
+    @property
+    def factors(self) -> tuple[range, range]:
+        return box_factors(self.e - self.d, self.d)
 
     def describe(self) -> dict:
         return {"fiber": "grassmann", "d": self.d, "e": self.e}
@@ -497,8 +496,9 @@ class LagrangianBundle:
     def fiber_dimension(self) -> int:
         return self.r * (self.r + 1) // 2
 
-    def shift_count(self, q: int) -> int:
-        return count_strict_partitions(q, self.r)
+    @property
+    def factors(self) -> tuple[range, range]:
+        return strict_factors(self.r)
 
     def describe(self) -> dict:
         return {"fiber": "lagrangian", "r": self.r}
@@ -511,13 +511,13 @@ def fibration_ambient(ambient: AmbientData, fiber: Fiber) -> AmbientData:
     """Ambient data of the total space of a cellular-fiber bundle.
 
     The cohomology is free over the base with one shifted copy per cell, so
-    ``b_p(total) = sum_q shift_count(q) * b_(p-2q)(base)`` in every degree.
-    Returning AmbientData lets towers of bundles compose.
+    ``b_p(total) = sum_q N(q) * b_(p-2q)(base)``, N(q) the fiber's cells of
+    dimension q: the padded base series times the fiber's ``factors`` at
+    stride 2, in every degree.  Returning AmbientData lets towers compose.
     """
     dim = ambient.dim + fiber.fiber_dimension
-    # no cell has weight above the fiber dimension
-    counts = [fiber.shift_count(q) for q in range(fiber.fiber_dimension + 1)]
-    return AmbientData(dim, _convolve(ambient.betti, counts, 2, 2 * dim + 1))
+    series = list(ambient.betti) + [0] * (2 * fiber.fiber_dimension)
+    return AmbientData(dim, multiply_by_factors(series, fiber.factors, 2))
 
 
 def fibration_betti(ambient: AmbientData, fiber: Fiber) -> BettiTable:

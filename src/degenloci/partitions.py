@@ -5,9 +5,9 @@ rows, each part at most ``max_part``) or strict partitions with bounded
 largest part.  Enumeration order is lexicographic descending and is part of
 the contract: serialized output must be reproducible byte for byte.
 
-:func:`_convolve` is the one shifted sum of counts: the Betti tables of
-:mod:`degenloci.loci`, the Chow ranks of :mod:`degenloci.cells` and the
-count identity of :func:`verify_doubling_bijection` all call it.
+Every count series (the counters here, the Betti tables of :mod:`.loci`, the
+Chow ranks of :mod:`.cells`, the doubling count identity) is a product of
+factors ``1 - x^s`` and their inverses, applied by :func:`multiply_by_factors`.
 """
 
 from __future__ import annotations
@@ -143,20 +143,46 @@ def enumerate_strict_partitions(weight: int, max_part: int) -> list[StrictPartit
     return _enumerate(StrictPartition, weight, max_part, None, True)
 
 
+def box_factors(max_part: int, max_length: Optional[int] = None) -> tuple[range, range]:
+    """Exponents (numerator, denominator) of the partitions with parts <=
+    max_part in at most max_length rows: ``prod_i (1 - x^(cols+i)) / (1 - x^i)``,
+    i <= rows, rows and cols the box's sides, shorter first; with max_length
+    None (any number of rows) the numerator is empty."""
+    if max_length is None:
+        return range(0), range(1, max_part + 1)
+    rows, cols = sorted((max_part, max_length))
+    return range(cols + 1, cols + rows + 1), range(1, rows + 1)
+
+
+def strict_factors(max_part: int) -> tuple[range, range]:
+    """Strict partitions, parts <= max_part: prod_i (1 - x^(2i)) / (1 - x^i)."""
+    return range(2, 2 * max_part + 1, 2), range(1, max_part + 1)
+
+
+def multiply_by_factors(series: list[int], factors: tuple[range, range],
+                        step: int = 1) -> list[int]:
+    """Multiply ``series`` in place, mod x^len(series), by
+    ``prod_a (1 - x^(step*a)) / prod_b (1 - x^(step*b))`` for the ascending
+    exponents ``factors = (numerator, denominator)``; returns ``series``.
+    Truncation is a ring map and each ``1 - x^s`` a unit, so this is exact."""
+    top = len(series)
+    for a in factors[0]:
+        if (shift := step * a) >= top:
+            break
+        for k in range(top - 1, shift - 1, -1):
+            series[k] -= series[k - shift]
+    for b in factors[1]:
+        if (shift := step * b) >= top:
+            break
+        for k in range(shift, top):
+            series[k] += series[k - shift]
+    return series
+
+
 @lru_cache(maxsize=None)
 def _box_series(rows: int, cols: int, top: int) -> tuple[int, ...]:
-    """Coefficients of q^0 .. q^top in the Gaussian binomial
-    [rows + cols choose rows]_q, which counts partitions in a rows x cols
-    box by weight.  Built as prod_i (1 - q^(cols+i)) / (1 - q^i) for
-    i = 1 .. rows; every partial product is a polynomial, so truncated
-    series arithmetic is exact."""
-    series = [1] + [0] * top
-    for i in range(1, rows + 1):
-        for k in range(top, cols + i - 1, -1):
-            series[k] -= series[k - cols - i]
-        for k in range(i, top + 1):
-            series[k] += series[k - i]
-    return tuple(series)
+    """q^0 .. q^top of the Gaussian binomial [rows + cols choose rows]_q."""
+    return tuple(multiply_by_factors([1] + [0] * top, box_factors(rows, cols)))
 
 
 def count_box_partitions(weight: int, max_part: int,
@@ -174,13 +200,8 @@ def count_box_partitions(weight: int, max_part: int,
 
 @lru_cache(maxsize=None)
 def _strict_series(max_part: int, top: int) -> tuple[int, ...]:
-    """Coefficients of q^0 .. q^top in prod_i (1 + q^i), i = 1 .. max_part:
-    strict partitions with parts <= max_part, by weight."""
-    series = [1] + [0] * top
-    for i in range(1, max_part + 1):
-        for k in range(top, i - 1, -1):
-            series[k] += series[k - i]
-    return tuple(series)
+    """q^0 .. q^top of prod_i (1 + q^i), i = 1 .. max_part: strict partitions."""
+    return tuple(multiply_by_factors([1] + [0] * top, strict_factors(max_part)))
 
 
 def count_strict_partitions(weight: int, max_part: int) -> int:
@@ -189,24 +210,6 @@ def count_strict_partitions(weight: int, max_part: int) -> int:
     # as in count_box_partitions: parts above ``top`` change nothing
     top = 1 << weight.bit_length()
     return _strict_series(min(max_part, top), top)[weight]
-
-
-def _convolve(a: Sequence[int], b: Sequence[int], step: int, top: int) -> list[int]:
-    """``out[p] = sum_q b[q] * a[p - step*q]`` for 0 <= p < top: one copy of
-    ``a`` shifted by step*q for each of the b[q] classes of weight q.  Only
-    nonzero entries meet, so at most (nonzero entries of a) x (nonzero
-    entries of b) products are formed."""
-    out = [0] * top
-    terms = [(j, x) for j, x in enumerate(a[:top]) if x]
-    for q, y in enumerate(b):
-        if not y:
-            continue
-        shift = step * q
-        for j, x in terms:
-            if j + shift >= top:
-                break
-            out[j + shift] += x * y
-    return out
 
 
 def _valid_by_construction(cls, parts: list[int]):
@@ -274,7 +277,7 @@ def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
     boxed = [count_box_partitions(w, max_part) for w in range(q_max + 1)]
     strict = [count_strict_partitions(s, max_part) for s in range(q_max + 1)]
     # weight w = s + 2t: a strict partition of s and a doubled one of t
-    doubled = _convolve(strict, boxed, 2, q_max + 1)
+    doubled = multiply_by_factors(strict, box_factors(max_part), 2)
     for w, (lhs, rhs) in enumerate(zip(boxed, doubled)):
         if lhs != rhs:
             return DoublingReport(q_max, max_part, w, pairs, False,

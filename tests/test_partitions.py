@@ -12,12 +12,15 @@ from degenloci.partitions import (
     BoxConstraint,
     Partition,
     StrictPartition,
+    box_factors,
     count_box_partitions,
     count_strict_partitions,
     enumerate_box_partitions,
     enumerate_strict_partitions,
     merge_doubled,
+    multiply_by_factors,
     split_doubled,
+    strict_factors,
     verify_doubling_bijection,
 )
 
@@ -187,6 +190,8 @@ def test_counts_reject_negative_weight():
 def test_strict_counts_with_many_parts():
     # one level of recursion per part used to overflow the stack here
     assert count_strict_partitions(5, 3000) == 3
+    # strict partitions of 3 with parts <= 1200: (3) and (2, 1)
+    assert count_strict_partitions(3, 1200) == 2
     # q(100), the number of partitions of 100 into distinct parts
     assert count_strict_partitions(100, 3000) == 444793
     assert count_strict_partitions(100, 10) == 0
@@ -277,6 +282,47 @@ def test_strict_totals_are_powers_of_two(max_part):
     cap = max_part * (max_part + 1) // 2
     total = sum(count_strict_partitions(w, max_part) for w in range(cap + 1))
     assert total == 2 ** max_part
+
+
+# ---------------------------------------------------------------------------
+# series factors
+
+
+@st.composite
+def _shapes(draw):
+    """A box (max_part, max_length; None is any number of rows) or a strict
+    shape, with the factors of its series and the counter of its
+    partitions by enumeration, which never applies the factors."""
+    max_part = draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        return strict_factors(max_part), lambda q: len(
+            enumerate_strict_partitions(q, max_part))
+    max_length = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+    return box_factors(max_part, max_length), lambda q: len(
+        enumerate_box_partitions(q, BoxConstraint(max_part, max_length)))
+
+
+@given(
+    series=st.lists(st.integers(min_value=-50, max_value=50), max_size=24),
+    step=st.sampled_from([1, 2, 4]),
+    shape=_shapes(),
+)
+def test_series_factors_match_enumerated_counts(series, step, shape):
+    # out[p] = sum_q N(q) * a[p - step*q], N(q) partitions of weight q
+    factors, count = shape
+    top = len(series)
+    expected = [sum(count(q) * series[p - step * q] for q in range(p // step + 1))
+                for p in range(top)]
+    out = multiply_by_factors(list(series), factors, step)
+    assert out == expected
+
+
+def test_series_factor_shapes():
+    # the shorter side gives the factors: 2 rows of parts <= 3, or 3 of <= 2
+    assert box_factors(3, 2) == box_factors(2, 3) == (range(4, 6), range(1, 3))
+    assert box_factors(3) == (range(0), range(1, 4))
+    assert box_factors(0, 4) == (range(0), range(0))
+    assert strict_factors(3) == (range(2, 7, 2), range(1, 4))
 
 
 # ---------------------------------------------------------------------------
