@@ -8,13 +8,14 @@ the contract: serialized output must be reproducible byte for byte.
 Every count series (the counters here, the Betti tables of :mod:`.loci`, the
 Chow ranks of :mod:`.cells`, the doubling count identity) is a product of
 factors ``1 - x^s`` and their inverses, applied by :func:`multiply_by_factors`.
+Each counter call builds its own series up to ``weight`` and caches nothing;
+a caller that needs a run of counts builds the series once instead.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
@@ -179,37 +180,20 @@ def multiply_by_factors(series: list[int], factors: tuple[range, range],
     return series
 
 
-@lru_cache(maxsize=None)
-def _box_series(rows: int, cols: int, top: int) -> tuple[int, ...]:
-    """q^0 .. q^top of the Gaussian binomial [rows + cols choose rows]_q."""
-    return tuple(multiply_by_factors([1] + [0] * top, box_factors(rows, cols)))
-
-
 def count_box_partitions(weight: int, max_part: int,
                          max_length: Optional[int] = None) -> int:
     """Number of partitions of ``weight`` with parts <= max_part and at most
-    max_length rows (any number when None).  Exact integer arithmetic."""
+    max_length rows (any number when None): one factor product, no cache.
+    Factors past ``weight`` are never applied, so a huge side costs nothing."""
     weight, max_part, max_length = _check_bounds(weight, max_part, max_length)
-    # box sides beyond ``top`` change no coefficient up to ``top``; rounding
-    # ``top`` up to a power of two lets nearby weights share one series
-    top = 1 << weight.bit_length()
-    sides = sorted(min(side, top) for side in
-                   (max_part, top if max_length is None else max_length))
-    return _box_series(sides[0], sides[1], top)[weight]
-
-
-@lru_cache(maxsize=None)
-def _strict_series(max_part: int, top: int) -> tuple[int, ...]:
-    """q^0 .. q^top of prod_i (1 + q^i), i = 1 .. max_part: strict partitions."""
-    return tuple(multiply_by_factors([1] + [0] * top, strict_factors(max_part)))
+    return multiply_by_factors([1] + [0] * weight,
+                               box_factors(max_part, max_length))[weight]
 
 
 def count_strict_partitions(weight: int, max_part: int) -> int:
-    """Number of strict partitions of ``weight`` with parts <= max_part."""
+    """Number of strict partitions of ``weight``, parts <= max_part; no cache."""
     weight, max_part, _ = _check_bounds(weight, max_part, None)
-    # as in count_box_partitions: parts above ``top`` change nothing
-    top = 1 << weight.bit_length()
-    return _strict_series(min(max_part, top), top)[weight]
+    return multiply_by_factors([1] + [0] * weight, strict_factors(max_part))[weight]
 
 
 def _valid_by_construction(cls, parts: list[int]):
@@ -273,23 +257,22 @@ def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     pairs = 0
-    box = BoxConstraint(max_part)
-    boxed = [count_box_partitions(w, max_part) for w in range(q_max + 1)]
-    strict = [count_strict_partitions(s, max_part) for s in range(q_max + 1)]
+    boxed = multiply_by_factors([1] + [0] * q_max, box_factors(max_part))
+    strict = multiply_by_factors([1] + [0] * q_max, strict_factors(max_part))
     # weight w = s + 2t: a strict partition of s and a doubled one of t
     doubled = multiply_by_factors(strict, box_factors(max_part), 2)
+    # the strict partitions of each s and the box partitions of each t, once
+    mus = [enumerate_strict_partitions(s, max_part) for s in range(q_max + 1)]
+    box = BoxConstraint(max_part)
+    lams = [enumerate_box_partitions(t, box) for t in range(q_max // 2 + 1)]
     for w, (lhs, rhs) in enumerate(zip(boxed, doubled)):
         if lhs != rhs:
             return DoublingReport(q_max, max_part, w, pairs, False,
                                   f"count mismatch at weight {w}: {lhs} != {rhs}")
         seen: set[tuple[int, ...]] = set()
-        for s in range(w + 1):
-            t, rem = divmod(w - s, 2)
-            if rem:
-                continue
-            lams = enumerate_box_partitions(t, box)
-            for mu in enumerate_strict_partitions(s, max_part):
-                for lam in lams:
+        for s in range(w % 2, w + 1, 2):
+            for mu in mus[s]:
+                for lam in lams[(w - s) // 2]:
                     nu = merge_doubled(lam, mu)
                     pairs += 1
                     if nu.weight != w:

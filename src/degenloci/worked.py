@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .chern import ChernPoly, schur_determinant
 from .loci import AmbientData, betti_degeneracy, betti_skew
-from .partitions import count_box_partitions
+from .partitions import box_factors, multiply_by_factors
 from .tables import BettiTable, Record
 
 
@@ -81,11 +81,11 @@ def symmetric_power_betti(g: int, d: int, p_max: int) -> list[int]:
 
 def grassmannian_betti(d: int, n: int, p_max: int) -> list[int]:
     """Betti numbers of the Grassmannian of d-planes in C^n: partitions in a
-    d x (n-d) box."""
-    out = []
-    for p in range(p_max + 1):
-        out.append(0 if p % 2 else count_box_partitions(p // 2, n - d, d))
-    return out
+    d x (n-d) box, in even degrees only."""
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    ranks = multiply_by_factors([1] + [0] * (p_max // 2), box_factors(n - d, d))
+    return [0 if p % 2 else ranks[p // 2] for p in range(p_max + 1)]
 
 
 # ---------------------------------------------------------------------------

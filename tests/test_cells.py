@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import degenloci.cells as cells
+import degenloci.partitions as partitions
 from degenloci.cells import (
     OrbitSignature,
     cell_histogram,
@@ -239,6 +240,43 @@ def test_restriction_bounds_5_2_2():
     obj = report.to_json_obj()
     json.dumps(obj)
     assert obj["equality_bound"] == 3
+
+
+# rows of verify_restriction_bounds_degenerate with p_max past d(n-d),
+# recorded when each ambient rank was a separate count_box_partitions call
+_ROWS_PAST_TOP = {
+    (5, 2, 1, 9): [[0, 1, 1], [1, 1, 1], [2, 2, 2], [3, 2, 2], [4, 2, 2],
+                   [5, 1, 1], [6, 0, 1], [7, 0, 0], [8, 0, 0], [9, 0, 0]],
+    (6, 3, 1, 13): [[0, 1, 1], [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 3, 3],
+                    [5, 3, 3], [6, 2, 3], [7, 1, 2], [8, 0, 1], [9, 0, 1],
+                    [10, 0, 0], [11, 0, 0], [12, 0, 0], [13, 0, 0]],
+    (4, 2, 2, 7): [[0, 1, 1], [1, 1, 1], [2, 1, 2], [3, 1, 1], [4, 0, 1],
+                   [5, 0, 0], [6, 0, 0], [7, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("space", sorted(_ROWS_PAST_TOP))
+def test_restriction_rows_past_the_ambient_top(space):
+    report = verify_restriction_bounds_degenerate(*space)
+    assert report.passed and report.first_violation is None
+    assert report.rows == _ROWS_PAST_TOP[space]
+
+
+def test_restriction_series_stop_at_the_ambient_top(monkeypatch):
+    # a huge p_max lists zero rows past d(n-d) = 6 but builds no longer series
+    lengths = []
+    real = cells.multiply_by_factors
+
+    def recording(series, *args):
+        lengths.append(len(series))
+        return real(series, *args)
+
+    for module in (cells, partitions):
+        monkeypatch.setattr(module, "multiply_by_factors", recording)
+    report = verify_restriction_bounds_degenerate(5, 2, 1, 10**5)
+    assert report.passed and len(report.rows) == 10**5 + 1
+    assert report.rows[6:8] == [[6, 0, 1], [7, 0, 0]]
+    assert lengths and max(lengths) <= 7
 
 
 @settings(max_examples=25, deadline=None)

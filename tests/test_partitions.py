@@ -2,12 +2,15 @@
 
 import gc
 import sys
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+import degenloci.partitions as partitions
 from degenloci.partitions import (
     BoxConstraint,
     Partition,
@@ -284,6 +287,48 @@ def test_strict_totals_are_powers_of_two(max_part):
     assert total == 2 ** max_part
 
 
+@lru_cache(maxsize=None)
+def _box_count_by_largest_part(weight, max_part, max_length):
+    """Partitions in a box by the largest-part recurrence; shares no code
+    with the package."""
+    if weight == 0:
+        return 1
+    if max_part == 0 or max_length == 0:
+        return 0
+    top = min(max_part, weight)
+    return (_box_count_by_largest_part(weight, top - 1, max_length)
+            + _box_count_by_largest_part(weight - top, top, max_length - 1))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_counts_at_power_of_two_weights(k):
+    # weights on both sides of 2**k, with sides below, at and above the
+    # weight (and no row bound), so no weight or side is rounded or clamped
+    # into a wrong coefficient; by enumeration up to weight 33, and by the
+    # recurrence alone beyond, where p(65) is about two million partitions
+    for weight in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+        sides = [side for side in (weight // 2, weight - 1, weight, weight + 1)
+                 if side >= 0]
+        for max_part in sides:
+            strict = count_strict_partitions(weight, max_part)
+            assert strict == len(enumerate_strict_partitions(weight, max_part))
+            for max_length in sides + [None]:
+                count = count_box_partitions(weight, max_part, max_length)
+                rows = weight if max_length is None else max_length
+                assert count == _box_count_by_largest_part(weight, max_part, rows)
+                if k <= 5:
+                    assert count == len(enumerate_box_partitions(
+                        weight, BoxConstraint(max_part, max_length)))
+
+
+def test_counts_with_huge_sides():
+    # only the factors below the weight are applied, so a side of 10**12
+    # costs no more than a side equal to the weight
+    assert count_box_partitions(5, 10**12, 10**12) == 7
+    assert count_box_partitions(5, 10**12) == 7
+    assert count_strict_partitions(6, 10**12) == 4
+
+
 # ---------------------------------------------------------------------------
 # series factors
 
@@ -412,13 +457,70 @@ def test_doubling_sweep_pair_count_is_frozen():
     assert (report.weights_checked, report.pairs_checked) == (33, 21402)
 
 
-def test_doubling_report_carries_witness_on_failure():
-    # feed an impossible pairing through the public API by checking the
-    # reported fields on a pass; the failure path is covered by construction
-    # in verify_doubling_bijection and exercised via the identity below
-    lhs = count_box_partitions(9, 3)
-    rhs = sum(
-        count_strict_partitions(s, 3) * count_box_partitions((9 - s) // 2, 3)
-        for s in range(10) if (9 - s) % 2 == 0
-    )
-    assert lhs == rhs
+def test_doubling_sweep_enumerates_each_weight_once(monkeypatch):
+    # the strict partitions of each s and the doubled ones of each t are
+    # enumerated once, not again for every weight w = s + 2t they enter
+    calls = Counter()
+    real = partitions._enumerate
+
+    def counting(cls, weight, *bounds):
+        calls[cls.__name__, weight] += 1
+        return real(cls, weight, *bounds)
+
+    monkeypatch.setattr(partitions, "_enumerate", counting)
+    assert verify_doubling_bijection(20, 6).passed
+    assert calls == Counter({**{("StrictPartition", s): 1 for s in range(21)},
+                             **{("Partition", t): 1 for t in range(11)}})
+
+
+def _doubling_failure(q_max=6, max_part=3):
+    report = verify_doubling_bijection(q_max, max_part)
+    assert not report.passed
+    obj = report.to_json_obj()
+    assert obj["passed"] is False and obj["failure"] == report.failure
+    return report.failure, report.weights_checked, report.pairs_checked
+
+
+def test_doubling_failure_count_mismatch(monkeypatch):
+    # all partitions in place of strict ones: weight 2 gets (2), (1,1) and
+    # a doubled (1), against the two partitions of 2
+    monkeypatch.setattr(partitions, "strict_factors", box_factors)
+    assert _doubling_failure() == ("count mismatch at weight 2: 2 != 3", 2, 2)
+
+
+def test_doubling_failure_merge_weight(monkeypatch):
+    # one copy of each doubled part instead of two
+    monkeypatch.setattr(partitions, "merge_doubled", lambda lam, mu: Partition(
+        sorted((*mu.parts, *lam.parts), reverse=True)))
+    assert _doubling_failure() == (
+        "merge weight off for StrictPartition([]), Partition([1])", 2, 3)
+
+
+def test_doubling_failure_round_trip(monkeypatch):
+    monkeypatch.setattr(partitions, "split_doubled",
+                        lambda nu: (StrictPartition(), Partition(nu.parts)))
+    assert _doubling_failure() == (
+        "round trip failed for StrictPartition([1]), Partition([])", 1, 2)
+
+
+def test_doubling_failure_not_injective(monkeypatch):
+    # a merge that keeps only the weight, and a split that remembers the
+    # pair it came from, so every round trip passes
+    last = []
+
+    def merge(lam, mu):
+        last[:] = [mu, lam]
+        return Partition([1] * (2 * lam.weight + mu.weight))
+
+    monkeypatch.setattr(partitions, "merge_doubled", merge)
+    monkeypatch.setattr(partitions, "split_doubled", lambda nu: tuple(last))
+    assert _doubling_failure() == (
+        "merge not injective at Partition([1, 1])", 2, 4)
+
+
+def test_doubling_failure_not_surjective(monkeypatch):
+    # only the first strict partition of each weight: (2, 1) goes missing
+    real = partitions.enumerate_strict_partitions
+    monkeypatch.setattr(partitions, "enumerate_strict_partitions",
+                        lambda weight, max_part: real(weight, max_part)[:1])
+    assert _doubling_failure() == ("merge not surjective at weight 3", 3, 6)

@@ -50,6 +50,12 @@ def test_symmetric_power_betti_low_degrees():
 def test_grassmannian_betti_oracle():
     assert grassmannian_betti(2, 4, 8) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
     assert grassmannian_betti(1, 3, 4) == [1, 0, 1, 0, 1]
+    # one series for every degree, read past the top of the box as zeros
+    assert grassmannian_betti(2, 5, 15) == [1, 0, 1, 0, 2, 0, 2, 0, 2,
+                                            0, 1, 0, 1, 0, 0, 0]
+    for d, n in ((3, 2), (-1, 2)):
+        with pytest.raises(ValueError):
+            grassmannian_betti(d, n, 4)
 
 
 # ---------------------------------------------------------------------------
