@@ -25,29 +25,27 @@ remain the validating reference for a single cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import index
 from typing import Iterator, Optional
 
 from .partitions import box_factors, multiply_by_factors
 from .rings import graded_table, isotropic_dimension, isotropic_presentation
-from .tables import BettiTable, Record
+from .tables import BettiTable, FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class OrbitSignature:
+class OrbitSignature(FrozenRecord):
     """Jump positions of a cell: strictly increasing integers in [1, n]."""
 
-    jumps: tuple[int, ...]
+    __slots__ = ("jumps",)
 
-    def __post_init__(self):
-        j = tuple(map(index, self.jumps))
+    def __init__(self, jumps: tuple[int, ...]):
+        j = tuple(map(index, jumps))
         if any(x < 1 for x in j):
             raise ValueError(f"jumps must be positive: {j}")
         if any(j[i] >= j[i + 1] for i in range(len(j) - 1)):
             raise ValueError(f"jumps must be strictly increasing: {j}")
-        object.__setattr__(self, "jumps", j)
+        self._set_fields(j)
 
     def incidence(self, n: int) -> tuple[int, ...]:
         """The counting sequence c_1..c_n with c_j = #{i : jumps_i <= j}."""
@@ -221,16 +219,17 @@ def chow_ranks_decomposition(n: int, d: int, r: int,
     )
 
 
-@dataclass
 class DegenerateRestrictionReport(Record):
-    n: int
-    d: int
-    r: int
-    bound: int = field(metadata={"json": "equality_bound"})
-    rows: list[list[int]]  # [p, rank_locus, rank_ambient]
-    histogram_matches: bool
-    passed: bool
-    first_violation: Optional[str] = None
+    __slots__ = ("n", "d", "r", "bound", "rows", "histogram_matches", "passed",
+                 "first_violation")
+    _json_names = {"bound": "equality_bound"}
+
+    def __init__(self, n: int, d: int, r: int, bound: int,
+                 rows: list[list[int]],  # [p, rank_locus, rank_ambient]
+                 histogram_matches: bool, passed: bool,
+                 first_violation: Optional[str] = None):
+        self._set_fields(n, d, r, bound, rows, histogram_matches, passed,
+                         first_violation)
 
 
 def verify_restriction_bounds_degenerate(n: int, d: int, r: int,

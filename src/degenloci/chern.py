@@ -9,7 +9,9 @@ A monomial has one canonical form, built only by :func:`monomial`: a tuple of
 (name, exponent) pairs sorted by name, each generator once, each exponent a
 positive int.  The :class:`ChernPoly` constructor puts every key into that
 form and sums the coefficients of keys that agree, so products may key on
-concatenated monomials and leave the rest to it.
+concatenated monomials and leave the rest to it.  Sums, negatives and
+homogeneous parts only recombine keys that are canonical already, so they
+skip it (:meth:`ChernPoly._from_canonical`).
 
 Total Chern-class style data is passed around as a *component list*
 ``c = [c_0, c_1, ..., c_N]`` whose i-th entry is the (polynomial) component
@@ -69,6 +71,15 @@ class ChernPoly:
             acc[mon] = acc.get(mon, 0) + operator.index(coeff)
         self.terms = {mon: coeff for mon, coeff in acc.items() if coeff}
 
+    @classmethod
+    def _from_canonical(cls, terms: dict[Monomial, int]) -> "ChernPoly":
+        """The polynomial of ``terms``, whose keys are canonical monomials
+        and whose coefficients are ints, as those of another polynomial are;
+        only the zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.terms = {mon: coeff for mon, coeff in terms.items() if coeff}
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -94,12 +105,12 @@ class ChernPoly:
         acc = dict(self.terms)
         for mon, coeff in other.terms.items():
             acc[mon] = acc.get(mon, 0) + coeff
-        return ChernPoly(acc)
+        return ChernPoly._from_canonical(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChernPoly":
-        return ChernPoly({mon: -c for mon, c in self.terms.items()})
+        return ChernPoly._from_canonical({mon: -c for mon, c in self.terms.items()})
 
     def __sub__(self, other: Union["ChernPoly", int]) -> "ChernPoly":
         return self + (-_poly(other))
@@ -160,8 +171,8 @@ class ChernPoly:
         return degs.pop()
 
     def homogeneous_part(self, degree: int) -> "ChernPoly":
-        return ChernPoly({m: c for m, c in self.terms.items()
-                          if monomial_degree(m) == degree})
+        return ChernPoly._from_canonical({m: c for m, c in self.terms.items()
+                                          if monomial_degree(m) == degree})
 
     def generators(self) -> set[str]:
         return {name for mon in self.terms for name, _ in mon}

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
@@ -44,6 +43,7 @@ from .loci import AmbientData, MorphismSetup, betti_degeneracy, \
 from .partitions import count_box_partitions, verify_doubling_bijection
 from .rings import graded_table, grassmannian_presentation, \
     isotropic_dimension, isotropic_presentation, restriction_report
+from .tables import FrozenRecord
 from .worked import run_examples
 
 EXIT_OK = 0
@@ -233,8 +233,7 @@ def _dest(flags: tuple[str, ...]) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(FrozenRecord):
     """One leaf command.
 
     ``name`` is the command string of the envelope and the cache key; its
@@ -248,15 +247,19 @@ class Command:
     this module's globals reaches them.
     """
 
-    name: str
-    arguments: tuple[tuple[tuple[str, ...], dict], ...]
-    compute: Callable[[dict], Any]
-    csv: Callable[[Any], tuple[str, list]]
-    pretty: Callable[[Any], list[str]]
-    help: Optional[str] = None
-    params: Optional[Callable[[argparse.Namespace], dict]] = None
-    nested: bool = True
-    returns: type = dict
+    __slots__ = ("name", "arguments", "compute", "csv", "pretty", "help", "params",
+                 "nested", "returns")
+
+    def __init__(self, name: str,
+                 arguments: tuple[tuple[tuple[str, ...], dict], ...],
+                 compute: Callable[[dict], Any],
+                 csv: Callable[[Any], tuple[str, list]],
+                 pretty: Callable[[Any], list[str]],
+                 help: Optional[str] = None,
+                 params: Optional[Callable[[argparse.Namespace], dict]] = None,
+                 nested: bool = True, returns: type = dict):
+        self._set_fields(name, arguments, compute, csv, pretty, help, params,
+                         nested, returns)
 
     def parameters(self, args: argparse.Namespace) -> dict:
         if self.params is not None:

@@ -26,23 +26,21 @@ is one call of ``partitions.multiply_by_factors``, the one series product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from itertools import product
 from math import comb
 from typing import Callable, Optional, Union
 
 from .partitions import box_factors, multiply_by_factors, strict_factors
-from .tables import BettiTable, Record
+from .tables import BettiTable, FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class AmbientData(Record):
+class AmbientData(FrozenRecord):
     """Dimension and integral Betti numbers of the ambient space."""
 
-    dim: int
-    betti: tuple[int, ...]
+    __slots__ = ("dim", "betti")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, betti: tuple[int, ...]):
+        self._set_fields(dim, betti)
         b = tuple(self.betti)
         # exact data only: a float, a string or a bool is refused, not rounded
         if not all(type(x) is int for x in (self.dim, *b)):
@@ -81,8 +79,7 @@ class AmbientData(Record):
         return cls(g, tuple(comb(2 * g, p) for p in range(2 * g + 1)))
 
 
-@dataclass(frozen=True)
-class MorphismSetup:
+class MorphismSetup(FrozenRecord):
     """Parameters of the degeneracy problem.
 
     kind "general": ranks e <= f, locus rank r, optional everywhere-rank
@@ -91,16 +88,15 @@ class MorphismSetup:
     kind "orthogonal": intersection jump r, ambient jump k (same parity).
     """
 
-    kind: str
-    e: Optional[int] = None
-    f: Optional[int] = None
-    r: int = 0
-    max_rank: Optional[int] = None
-    ambient_jump: Optional[int] = None
-    lower_locus_empty: bool = True
-    amplitude_assumed: bool = True
+    __slots__ = ("kind", "e", "f", "r", "max_rank", "ambient_jump",
+                 "lower_locus_empty", "amplitude_assumed")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, e: Optional[int] = None, f: Optional[int] = None,
+                 r: int = 0, max_rank: Optional[int] = None,
+                 ambient_jump: Optional[int] = None, lower_locus_empty: bool = True,
+                 amplitude_assumed: bool = True):
+        self._set_fields(kind, e, f, r, max_rank, ambient_jump,
+                         lower_locus_empty, amplitude_assumed)
         if self.kind == "general":
             if self.e is None or self.f is None:
                 raise ValueError("general setup needs e and f")
@@ -161,8 +157,8 @@ class MorphismSetup:
 
     def to_json_obj(self) -> dict:
         """Every field, leaving out the ones the kind does not take."""
-        return {entry.name: value for entry in fields(self)
-                if (value := getattr(self, entry.name)) is not None}
+        return {name: value for name in self.__slots__
+                if (value := getattr(self, name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +193,7 @@ def epsilon_skew(m: int) -> int:
     return m + 1 if m < 4 else m % 4
 
 
-@dataclass(frozen=True)
-class _Induction:
+class _Induction(FrozenRecord):
     """The induction on the rank behind the Lefschetz range of one kind.
 
     Lowering the rank by one moves the Lefschetz degree by ``step``; at
@@ -207,9 +202,11 @@ class _Induction:
     by at least ``gap(s)``.
     """
 
-    step: int
-    epsilon: Callable[[int], int]
-    gap: Callable[[int], int]
+    __slots__ = ("step", "epsilon", "gap")
+
+    def __init__(self, step: int, epsilon: Callable[[int], int],
+                 gap: Callable[[int], int]):
+        self._set_fields(step, epsilon, gap)
 
     def degrees(self, r: int) -> range:
         """The degrees the induction reaches from rank r."""
@@ -234,16 +231,17 @@ _INDUCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class _BoxSum:
+class _BoxSum(FrozenRecord):
     """Below the expected dimension, each partition with parts <= r and at
     most ``rows(e, r)`` rows (any number when None) adds a copy of the
     ambient Betti numbers shifted by ``step`` per box.  ``assumptions`` are
     what this rests on besides a smooth projective ambient space."""
 
-    step: int
-    rows: Callable[[int, int], Optional[int]]
-    assumptions: tuple[str, ...]
+    __slots__ = ("step", "rows", "assumptions")
+
+    def __init__(self, step: int, rows: Callable[[int, int], Optional[int]],
+                 assumptions: tuple[str, ...]):
+        self._set_fields(step, rows, assumptions)
 
 
 _BOX_SUMS = {
@@ -267,17 +265,18 @@ def max_lefschetz_skew(dim_x: int, e: int, r: int) -> Optional[int]:
     return setup.induction.max_lefschetz(setup, dim_x)
 
 
-@dataclass
 class ThresholdsReport(Record):
-    setup: MorphismSetup
-    dim_x: int
-    expected_dimension: int
-    expected_codimension: int
-    epsilon_table: list[list[int]]
-    max_lefschetz: Optional[int]
-    connectivity_offset: int
-    connected_if_dim_above: int
-    notes: tuple[str, ...] = ()
+    __slots__ = ("setup", "dim_x", "expected_dimension", "expected_codimension",
+                 "epsilon_table", "max_lefschetz", "connectivity_offset",
+                 "connected_if_dim_above", "notes")
+
+    def __init__(self, setup: MorphismSetup, dim_x: int, expected_dimension: int,
+                 expected_codimension: int, epsilon_table: list[list[int]],
+                 max_lefschetz: Optional[int], connectivity_offset: int,
+                 connected_if_dim_above: int, notes: tuple[str, ...] = ()):
+        self._set_fields(setup, dim_x, expected_dimension, expected_codimension,
+                         epsilon_table, max_lefschetz, connectivity_offset,
+                         connected_if_dim_above, notes)
 
 
 def thresholds_report(setup: MorphismSetup, dim_x: int) -> ThresholdsReport:
@@ -312,11 +311,12 @@ def thresholds_report(setup: MorphismSetup, dim_x: int) -> ThresholdsReport:
 # growth inequalities backing the Lefschetz induction
 
 
-@dataclass
 class GrowthReport(Record):
-    checked: dict[str, int] = field(default_factory=dict)
-    passed: bool = True
-    failure: Optional[str] = None
+    __slots__ = ("checked", "passed", "failure")
+
+    def __init__(self, checked: Optional[dict[str, int]] = None, passed: bool = True,
+                 failure: Optional[str] = None):
+        self._set_fields({} if checked is None else checked, passed, failure)
 
     def note_failure(self, msg: str) -> None:
         self.passed = False
@@ -459,14 +459,13 @@ def skew_to_orthogonal(e: int, r: int) -> tuple[int, int]:
 # fibrations with cellular fibers
 
 
-@dataclass(frozen=True)
-class GrassmannBundle:
+class GrassmannBundle(FrozenRecord):
     """Fiber: d-planes in a rank-e bundle."""
 
-    d: int
-    e: int
+    __slots__ = ("d", "e")
 
-    def __post_init__(self):
+    def __init__(self, d: int, e: int):
+        self._set_fields(d, e)
         if not 0 <= self.d <= self.e:
             raise ValueError(f"need 0 <= d <= e, got d={self.d}, e={self.e}")
 
@@ -482,13 +481,13 @@ class GrassmannBundle:
         return {"fiber": "grassmann", "d": self.d, "e": self.e}
 
 
-@dataclass(frozen=True)
-class LagrangianBundle:
+class LagrangianBundle(FrozenRecord):
     """Fiber: maximal isotropic r-planes in a rank-2r symplectic bundle."""
 
-    r: int
+    __slots__ = ("r",)
 
-    def __post_init__(self):
+    def __init__(self, r: int):
+        self._set_fields(r)
         if self.r < 0:
             raise ValueError("r must be nonnegative")
 

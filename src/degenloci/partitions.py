@@ -15,11 +15,10 @@ a caller that needs a run of counts builds the series once instead.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
-from .tables import Record
+from .tables import FrozenRecord, Record
 
 
 def _normalize(parts: Sequence[int]) -> tuple[int, ...]:
@@ -89,12 +88,13 @@ class StrictPartition(Partition):
             raise ValueError(f"parts not strictly decreasing: {parts!r}")
 
 
-@dataclass(frozen=True)
-class BoxConstraint:
+class BoxConstraint(FrozenRecord):
     """Bounds for partition enumeration; max_length=None means unbounded."""
 
-    max_part: int
-    max_length: Optional[int] = None
+    __slots__ = ("max_part", "max_length")
+
+    def __init__(self, max_part: int, max_length: Optional[int] = None):
+        self._set_fields(max_part, max_length)
 
 
 def _check_bounds(weight: int, max_part: int, max_length: Optional[int]) -> tuple:
@@ -239,16 +239,16 @@ def split_doubled(nu: Partition) -> tuple[StrictPartition, Partition]:
             _valid_by_construction(Partition, lam))
 
 
-@dataclass
 class DoublingReport(Record):
     """Outcome of a doubling-bijection verification sweep."""
 
-    q_max: int
-    max_part: int
-    weights_checked: int
-    pairs_checked: int
-    passed: bool
-    failure: Optional[str] = None
+    __slots__ = ("q_max", "max_part", "weights_checked", "pairs_checked",
+                 "passed", "failure")
+
+    def __init__(self, q_max: int, max_part: int, weights_checked: int,
+                 pairs_checked: int, passed: bool, failure: Optional[str] = None):
+        self._set_fields(q_max, max_part, weights_checked, pairs_checked, passed,
+                         failure)
 
 
 def verify_doubling_bijection(q_max: int, max_part: int) -> DoublingReport:

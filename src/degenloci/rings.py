@@ -16,7 +16,6 @@ monomial basis per degree), computed by exact integer elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 from typing import Optional
@@ -25,7 +24,7 @@ from .chern import ChernPoly, Monomial, cgen, monomial, series_inverse, series_p
 from .errors import VerificationError
 from .intlinalg import cokernel
 from .partitions import BoxConstraint, enumerate_box_partitions
-from .tables import Record
+from .tables import FrozenRecord, Record
 
 
 def grassmannian_dimension(d: int, n: int) -> int:
@@ -37,14 +36,14 @@ def isotropic_dimension(d: int, r: int) -> int:
     return d * (2 * r - d) - d * (d - 1) // 2
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(FrozenRecord):
     """A graded quotient Z[c_1..c_d] / (relations)."""
 
-    label: str
-    params: tuple[tuple[str, int], ...]
-    num_generators: int
-    relations: tuple[ChernPoly, ...]
+    __slots__ = ("label", "params", "num_generators", "relations")
+
+    def __init__(self, label: str, params: tuple[tuple[str, int], ...],
+                 num_generators: int, relations: tuple[ChernPoly, ...]):
+        self._set_fields(label, params, num_generators, relations)
 
     @property
     def generator_degrees(self) -> tuple[int, ...]:
@@ -124,21 +123,21 @@ def relation_rows(pres: RingPresentation,
     return rows, monos
 
 
-@dataclass
 class GradedRow(Record):
-    degree: int
-    num_monomials: int = field(metadata={"json": "monomials"})
-    rank: int
-    torsion: tuple[int, ...]
-    basis: tuple[Monomial, ...]
+    __slots__ = ("degree", "num_monomials", "rank", "torsion", "basis")
+    _json_names = {"num_monomials": "monomials"}
+
+    def __init__(self, degree: int, num_monomials: int, rank: int,
+                 torsion: tuple[int, ...], basis: tuple[Monomial, ...]):
+        self._set_fields(degree, num_monomials, rank, torsion, basis)
 
 
-@dataclass
 class GradedTable(Record):
-    label: str
-    params: dict[str, int]
-    max_degree: int
-    rows: list[GradedRow]
+    __slots__ = ("label", "params", "max_degree", "rows")
+
+    def __init__(self, label: str, params: dict[str, int], max_degree: int,
+                 rows: list[GradedRow]):
+        self._set_fields(label, params, max_degree, rows)
 
     def rank(self, degree: int) -> int:
         if degree < 0 or degree > self.max_degree:
@@ -203,26 +202,23 @@ def restriction_containment(d: int, r: int) -> bool:
     return True
 
 
-@dataclass
 class RestrictionRow(Record):
-    half_degree: int
-    rank_source: int
-    rank_target: int
-    surjective: bool
-    injective: bool
-    bijective: bool = field(init=False)
+    __slots__ = ("half_degree", "rank_source", "rank_target", "surjective",
+                 "injective", "bijective")
 
-    def __post_init__(self):
-        self.bijective = self.surjective and self.injective
+    def __init__(self, half_degree: int, rank_source: int, rank_target: int,
+                 surjective: bool, injective: bool):
+        self._set_fields(half_degree, rank_source, rank_target, surjective,
+                         injective, surjective and injective)
 
 
-@dataclass
 class RestrictionReport(Record):
-    d: int
-    r: int
-    bound: int = field(metadata={"json": "bijective_bound"})
-    first_non_bijective: Optional[int]
-    rows: list[RestrictionRow]
+    __slots__ = ("d", "r", "bound", "first_non_bijective", "rows")
+    _json_names = {"bound": "bijective_bound"}
+
+    def __init__(self, d: int, r: int, bound: int,
+                 first_non_bijective: Optional[int], rows: list[RestrictionRow]):
+        self._set_fields(d, r, bound, first_non_bijective, rows)
 
 
 def restriction_report(d: int, n: int, r: int,

@@ -1,14 +1,15 @@
 """Result records and degree-indexed rank tables.
 
-The calculators' reports are :class:`Record` dataclasses whose JSON form
-is their fields, in order, so each report's shape is declared once.
+The calculators' reports are :class:`Record` subclasses: plain classes
+whose ``__slots__`` list their fields, in order, so each report's shape is
+declared once and equality, repr and the JSON form all read it.  Values
+that never change after construction are :class:`FrozenRecord` subclasses.
 :class:`BettiTable` holds ranks indexed by degree with an explicit
 validity range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import OutsideValidityError
@@ -25,16 +26,59 @@ def _json_value(value):
 
 
 class Record:
-    """Dataclass mixin that serializes each field under its name, or under
-    the key given as ``field(metadata={"json": key})``."""
+    """Base of every record class.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its
+    ``__init__`` with :meth:`_set_fields`.  Equality (same class, equal
+    fields), the repr ``Name(field=value, ...)`` and the JSON form (each
+    field under its name, or under the key ``_json_names`` maps it to) all
+    follow the slot order.  Records compare by value, so a mutable one is
+    unhashable.
+    """
+
+    __slots__ = ()
+    _json_names: dict[str, str] = {}
+
+    def _set_fields(self, *values) -> None:
+        """Set the fields, in slot order, to ``values``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def to_json_obj(self) -> dict:
-        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name))
-                for f in fields(self)}
+        names = self._json_names
+        return {names.get(name, name): _json_value(getattr(self, name))
+                for name in self.__slots__}
 
 
-@dataclass
-class BettiTable:
+class FrozenRecord(Record):
+    """A record set once, in ``__init__``, and hashed by value; assigning to
+    or deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class BettiTable(Record):
     """Ranks indexed by degree, valid strictly below ``valid_below``.
 
     ``valid_below=None`` means the table is complete: every degree may be
@@ -43,10 +87,12 @@ class BettiTable:
     outside the proven range is not a number anyone should compute with.
     """
 
-    entries: dict[int, int]
-    valid_below: Optional[int] = None
-    setup: dict = field(default_factory=dict)
-    assumptions: tuple[str, ...] = ()
+    __slots__ = ("entries", "valid_below", "setup", "assumptions")
+
+    def __init__(self, entries: dict[int, int], valid_below: Optional[int] = None,
+                 setup: Optional[dict] = None, assumptions: tuple[str, ...] = ()):
+        self._set_fields(entries, valid_below, {} if setup is None else setup,
+                         assumptions)
 
     def rank(self, degree: int) -> int:
         if degree < 0:

@@ -9,7 +9,6 @@ if any; a healthy build has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
@@ -19,15 +18,15 @@ from .partitions import box_factors, multiply_by_factors
 from .tables import BettiTable, Record
 
 
-@dataclass
 class ExampleReport(Record):
-    name: str
-    parameters: dict
-    computed: object
-    oracle: object
-    match: bool
-    first_mismatch: Optional[str] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("name", "parameters", "computed", "oracle", "match",
+                 "first_mismatch", "notes")
+
+    def __init__(self, name: str, parameters: dict, computed: object,
+                 oracle: object, match: bool, first_mismatch: Optional[str] = None,
+                 notes: tuple[str, ...] = ()):
+        self._set_fields(name, parameters, computed, oracle, match, first_mismatch,
+                         notes)
 
 
 def _oracle_report(name: str, parameters: dict, table: BettiTable,

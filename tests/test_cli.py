@@ -400,40 +400,45 @@ def test_cache_key_separates_commands(capsys, tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
-# Runs main in a fresh interpreter, then reports on stderr whether OpenSSL's
-# hash module was loaded.
-_HASHLIB_PROBE = """\
+# Runs main in a fresh interpreter, then reports on stderr which of these
+# modules it loaded.  An uncached run should load none: OpenSSL's hash module
+# is for cache keys only, and dataclasses (with the inspect it imports) is
+# start-up time alone.
+_PROBED = ("_hashlib", "dataclasses", "inspect")
+_MODULE_PROBE = f"""\
 import sys
 from degenloci.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print("_hashlib" in sys.modules, file=sys.stderr)
+    print(*(name for name in {_PROBED!r} if name in sys.modules), file=sys.stderr)
 """
 _RING_G24 = ("ring", "grassmannian", "--d", "2", "--n", "4", "--max-degree", "8")
 
 
-def _probe_hashlib(*argv):
+def _probe_modules(*argv):
+    """Which of :data:`_PROBED` a fresh interpreter running ``argv`` loads."""
     env = {k: v for k, v in os.environ.items() if k != "DEGENLOCI_CACHE_DIR"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", _HASHLIB_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1] == "True"
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("argv", [
     ("--version",), _RING_G24,
-    ("cells", "enumerate", "--n", "6", "--d", "2", "--r", "1")],
-    ids=["version", "ring", "cells"])
+    ("cells", "enumerate", "--n", "6", "--d", "2", "--r", "1"),
+    ("verify", "all")],
+    ids=["version", "ring", "cells", "verify-all"])
 def test_uncached_run_never_loads_hashlib(argv):
-    assert not _probe_hashlib(*argv)
+    assert _probe_modules(*argv) == set()
 
 
 def test_cached_run_keeps_its_cache_file_name(capsys, tmp_path, monkeypatch):
     # the key of this run is frozen: existing cache directories still hit
     argv = _RING_G24 + ("--cache-dir", str(tmp_path))
-    assert _probe_hashlib(*argv)
+    assert "_hashlib" in _probe_modules(*argv)
     [path] = tmp_path.iterdir()
     assert path.name == ("fc3c4d1077d9b80c0f2582bf2d69b44d8398da00879230f3"
                          "69b5222819c54ea6.json")

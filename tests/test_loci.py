@@ -495,3 +495,63 @@ def test_betti_table_serialization():
     assert obj["valid_below"] == table.valid_below
     assert obj["betti"] == table.as_pairs()
     assert "rank < r locus is empty" in obj["assumptions"]
+
+
+def test_records_have_value_semantics():
+    from degenloci.cells import OrbitSignature
+    from degenloci.partitions import BoxConstraint
+    from degenloci.rings import RestrictionRow, RingPresentation
+
+    # equal fields make equal values with equal hashes; another class or a
+    # changed field does not
+    frozen = [
+        (lambda: AmbientData(2, (1, 0, 1, 0, 1)), AmbientData(2, (1, 0, 2, 0, 1)),
+         "betti"),
+        (lambda: MorphismSetup("general", e=2, f=3, r=1),
+         MorphismSetup("general", e=2, f=3, r=0), "r"),
+        (lambda: BoxConstraint(3, 2), BoxConstraint(3), "max_length"),
+        (lambda: OrbitSignature((1, 3)), OrbitSignature((1, 4)), "jumps"),
+        (lambda: RingPresentation("g", (("d", 1),), 1, ()),
+         RingPresentation("g", (("d", 2),), 1, ()), "params"),
+        (lambda: GrassmannBundle(1, 3), GrassmannBundle(2, 3), "d"),
+        (lambda: LagrangianBundle(2), LagrangianBundle(3), "r"),
+    ]
+    for make, other, name in frozen:
+        a, b = make(), make()
+        assert a == b and not a != b and a is not b
+        assert hash(a) == hash(b)
+        assert a != other and other != a
+        assert len({a, b, other}) == 2
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert a == b
+    assert GrassmannBundle(1, 3) != LagrangianBundle(1)
+    assert AmbientData(0, (1,)) != (0, (1,))
+
+    # keyword construction and defaults
+    assert BoxConstraint(max_part=4) == BoxConstraint(4, None)
+    assert BoxConstraint(4).max_length is None
+    setup = MorphismSetup(kind="skew", e=5, r=1)
+    assert (setup.f, setup.lower_locus_empty, setup.amplitude_assumed) \
+        == (None, True, True)
+    assert MorphismSetup("orthogonal", r=2) == MorphismSetup("orthogonal", r=2,
+                                                             ambient_jump=0)
+    assert OrbitSignature(jumps=[2, 5]).jumps == (2, 5)
+    assert repr(BoxConstraint(3)) == "BoxConstraint(max_part=3, max_length=None)"
+
+    # the normalisations made on construction
+    assert AmbientData(2, (1,)).betti == (1, 0, 0, 0, 0)
+    assert AmbientData(1, [1, 0, 1, 0, 0]).betti == (1, 0, 1)
+    assert MorphismSetup("general", e=3, f=4, r=1).max_rank == 3
+    assert MorphismSetup("skew", e=5, r=1).max_rank == 4
+    assert MorphismSetup("orthogonal", r=2).ambient_jump == 0
+    assert [RestrictionRow(0, 3, 3, True, ok).bijective for ok in (True, False)] \
+        == [True, False]
+    row = RestrictionRow(half_degree=1, rank_source=2, rank_target=1,
+                         surjective=True, injective=False)
+    assert row == RestrictionRow(1, 2, 1, True, False)
+    assert row.to_json_obj() == {"half_degree": 1, "rank_source": 2, "rank_target": 1,
+                                 "surjective": True, "injective": False,
+                                 "bijective": False}
