@@ -39,7 +39,6 @@ from .loci import (
     betti_degeneracy,
     betti_orthogonal_special,
     betti_skew,
-    expected_codimension_orthogonal,
     expected_dimension_general,
     expected_dimension_skew,
     fibration_betti,
@@ -103,7 +102,6 @@ __all__ = [
     "enumerate_cells",
     "enumerate_orbit_signatures",
     "enumerate_strict_partitions",
-    "expected_codimension_orthogonal",
     "expected_dimension_general",
     "expected_dimension_skew",
     "fibration_betti",

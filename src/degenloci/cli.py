@@ -4,7 +4,8 @@ Every subcommand computes a JSON-serializable result, wraps it in an
 envelope recording the command, its parameters and the format version, and
 renders it as json, csv or a plain-text table.  Results are cached on disk
 when a cache directory is configured; a cache hit replays the stored
-result, so hit or miss can only change timing, never output.
+result, so hit or miss can only change timing, never output.  A command
+whose ambient space is read from a ``file:`` runs uncached.
 
 Each leaf command is one entry of :data:`COMMANDS`; the parser, the cache
 key and the renderers all read that table.
@@ -547,7 +548,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     command: Command = args.leaf
     params = command.parameters(args)
 
-    cache = ResultCache.from_environment(args.cache_dir)
+    # a file: ambient runs uncached: its key would name the file, not its data
+    cache = ResultCache.from_environment(
+        "" if str(params.get("ambient")).startswith("file:") else args.cache_dir)
     key = cache.key(command.name, params, FORMAT_VERSION)
     envelope = cache.load(key, lambda env: _replayable(env, command, params))
     if envelope is None:

@@ -15,11 +15,10 @@ evaluate those counting formulas, and refuse to answer outside the proven
 degree range.  The threshold report collects the expected dimension, the
 weak-Lefschetz degree, and connectedness bounds for a given setup.
 
-What differs between the kinds is written once, in :class:`MorphismSetup`:
-its parameter rules, its expected codimension, and for general and skew
-loci the rank induction (degree step, allowance and codimension gap) of an
-:class:`_Induction` record and the Betti sum of a :class:`_BoxSum` record.
-The functions below ask the setup and never test the kind themselves.
+What differs between the kinds is written once: :class:`MorphismSetup`
+checks each kind's parameter rules, and everything else is in the kind's
+:class:`_Kind` record in ``_KINDS``, which the setup reads.  The functions
+below ask the setup and never test the kind themselves.
 Every shifted Betti sum, of a locus or of a bundle with cellular fibers,
 is one call of ``partitions.multiply_by_factors``, the one series product.
 """
@@ -134,26 +133,19 @@ class MorphismSetup(FrozenRecord):
 
     def codimension(self, t: int) -> int:
         """Expected codimension of the locus with r replaced by t."""
-        if self.kind == "general":
-            return (self.f - t) * (self.e - t)
-        if self.kind == "skew":
-            return comb(self.e - 2 * t, 2)
-        return comb(t, 2)
+        return _KINDS[self.kind].codimension(self, t)
 
     @property
     def everywhere_bound(self) -> int:
         """The bound that holds on all of X, in the units of r."""
-        if self.kind == "general":
-            return self.max_rank
-        if self.kind == "skew":
-            return self.max_rank // 2
-        return self.ambient_jump
+        return _KINDS[self.kind].bound(self)
 
     @property
-    def induction(self) -> Optional[_Induction]:
-        """The rank induction behind the Lefschetz range; orthogonal loci
-        have none."""
-        return _INDUCTIONS.get(self.kind)
+    def induction(self) -> Optional[_Kind]:
+        """The kind's record when it has the rank induction behind the
+        Lefschetz range; orthogonal loci have none."""
+        kind = _KINDS[self.kind]
+        return kind if kind.step is not None else None
 
     def to_json_obj(self) -> dict:
         """Every field, leaving out the ones the kind does not take."""
@@ -173,10 +165,6 @@ def expected_dimension_skew(dim_x: int, e: int, r: int) -> int:
     return dim_x - MorphismSetup("skew", e=e, r=r).codimension(r)
 
 
-def expected_codimension_orthogonal(r: int) -> int:
-    return MorphismSetup("orthogonal", r=r, ambient_jump=r % 2).codimension(r)
-
-
 def epsilon_general(m: int) -> int:
     """Degree allowance in the weak-Lefschetz hypothesis, general case:
     1, 2, 0, 1, 0, 1, ..."""
@@ -193,20 +181,30 @@ def epsilon_skew(m: int) -> int:
     return m + 1 if m < 4 else m % 4
 
 
-class _Induction(FrozenRecord):
-    """The induction on the rank behind the Lefschetz range of one kind.
+class _Kind(FrozenRecord):
+    """What the formulas here need to know about one kind of locus.
 
-    Lowering the rank by one moves the Lefschetz degree by ``step``; at
-    degree m the expected dimension must reach the allowance
-    ``epsilon(m)``, and lowering the rank by s must raise the codimension
-    by at least ``gap(s)``.
+    ``codimension(setup, t)`` is the expected codimension with r replaced by
+    t, ``bound(setup)`` the everywhere bound in the units of r.  General and
+    skew loci have a rank induction and a Betti sum with a shared ``step``
+    (None for orthogonal loci).  Lowering the rank by one moves the
+    Lefschetz degree by ``step``; at degree m the expected dimension must
+    reach the allowance ``epsilon(m)``, and lowering the rank by s must
+    raise the codimension by at least ``gap(s)``.  Below the expected
+    dimension, each partition with parts <= r and at most ``rows(setup)``
+    rows (any number when None) adds a copy of the ambient Betti numbers
+    shifted by ``step`` per box; ``assumptions`` are what this rests on
+    besides a smooth projective ambient space.
     """
 
-    __slots__ = ("step", "epsilon", "gap")
+    __slots__ = ("codimension", "bound", "step", "epsilon", "gap", "rows",
+                 "assumptions")
 
-    def __init__(self, step: int, epsilon: Callable[[int], int],
-                 gap: Callable[[int], int]):
-        self._set_fields(step, epsilon, gap)
+    def __init__(self, codimension: Callable, bound: Callable,
+                 step: Optional[int] = None, epsilon: Optional[Callable] = None,
+                 gap: Optional[Callable] = None, rows: Optional[Callable] = None,
+                 assumptions: tuple[str, ...] = ()):
+        self._set_fields(codimension, bound, step, epsilon, gap, rows, assumptions)
 
     def degrees(self, r: int) -> range:
         """The degrees the induction reaches from rank r."""
@@ -225,30 +223,22 @@ class _Induction(FrozenRecord):
         return self.epsilon(t) + self.gap(t // self.step) > t
 
 
-_INDUCTIONS = {
-    "general": _Induction(2, epsilon_general, lambda s: s * (s + 2)),
-    "skew": _Induction(4, epsilon_skew, lambda s: s * (2 * s + 3)),
-}
-
-
-class _BoxSum(FrozenRecord):
-    """Below the expected dimension, each partition with parts <= r and at
-    most ``rows(e, r)`` rows (any number when None) adds a copy of the
-    ambient Betti numbers shifted by ``step`` per box.  ``assumptions`` are
-    what this rests on besides a smooth projective ambient space."""
-
-    __slots__ = ("step", "rows", "assumptions")
-
-    def __init__(self, step: int, rows: Callable[[int, int], Optional[int]],
-                 assumptions: tuple[str, ...]):
-        self._set_fields(step, rows, assumptions)
-
-
-_BOX_SUMS = {
-    "general": _BoxSum(2, lambda e, r: e - r,
-                       ("rank < r locus is empty", "the hom bundle is ample")),
-    "skew": _BoxSum(4, lambda e, r: None,
-                    ("rank < 2r locus is empty", "the twisted square bundle is ample")),
+_KINDS = {
+    "general": _Kind(
+        codimension=lambda setup, t: (setup.f - t) * (setup.e - t),
+        bound=lambda setup: setup.max_rank,
+        step=2, epsilon=epsilon_general, gap=lambda s: s * (s + 2),
+        rows=lambda setup: setup.e - setup.r,
+        assumptions=("rank < r locus is empty", "the hom bundle is ample")),
+    "skew": _Kind(
+        codimension=lambda setup, t: comb(setup.e - 2 * t, 2),
+        bound=lambda setup: setup.max_rank // 2,
+        step=4, epsilon=epsilon_skew, gap=lambda s: s * (2 * s + 3),
+        rows=lambda setup: None,
+        assumptions=("rank < 2r locus is empty",
+                     "the twisted square bundle is ample")),
+    "orthogonal": _Kind(codimension=lambda setup, t: comb(t, 2),
+                        bound=lambda setup: setup.ambient_jump),
 }
 
 
@@ -359,7 +349,9 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
     """Run verify_growth_inequalities over every rank combination it accepts
     with e, f up to max_rank; merge the counts."""
     merged = GrowthReport()
-    for kind, induction in _INDUCTIONS.items():
+    for kind, induction in _KINDS.items():
+        if induction.step is None:
+            continue  # no rank induction for this kind
         gaps = 0
         for e in range(max_rank + 1):
             for f, r in product((None, *range(e, max_rank + 1)), range(e)):
@@ -386,11 +378,12 @@ def verify_growth_sweep(max_rank: int = 12, t_max: int = 100) -> GrowthReport:
 def _betti_below_expected(ambient: AmbientData, setup: MorphismSetup) -> BettiTable:
     """The Betti table of a general or skew locus strictly below its
     expected dimension: ``b_p = sum_q N(q) * b_(p - step*q)(X)``, where N(q)
-    counts the partitions of weight q in the kind's :class:`_BoxSum`: the
-    ambient series times that box's factors at stride ``step``."""
-    box = _BOX_SUMS[setup.kind]
+    counts the partitions of weight q in the box of the kind's
+    :class:`_Kind` record: the ambient series times that box's factors at
+    stride ``step``."""
+    box = setup.induction
     valid_below = max(ambient.dim - setup.codimension(setup.r), 0)
-    factors = box_factors(setup.r, box.rows(setup.e, setup.r))
+    factors = box_factors(setup.r, box.rows(setup))
     sums = multiply_by_factors(list(ambient.betti[:valid_below]), factors, box.step)
     return BettiTable(
         {p: b for p, b in enumerate(sums) if b}, valid_below,

@@ -111,20 +111,23 @@ def _check_bounds(weight: int, max_part: int, max_length: Optional[int]) -> tupl
 def _enumerate(cls, weight: int, max_part: int, max_length: Optional[int],
                strict: bool) -> list:
     """Partitions of ``weight``, parts <= max_part, at most max_length rows
-    (any number when None), lex descending; distinct parts when ``strict``."""
+    (any number when None), lex descending; distinct parts when ``strict``.
+    Each recursion level places all copies of one part size, most first, so
+    the depth is at most ``min(max_part, weight) + 1``, not one per part."""
     weight, max_part, max_length = _check_bounds(weight, max_part, max_length)
-    out: list = []
+    out: list = [] if weight else [_valid_by_construction(cls, [])]
 
     def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(_valid_by_construction(cls, prefix))
-            return
-        if slots == 0:
-            return
         for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p - strict, slots - 1, prefix)
-            prefix.pop()
+            most = min(slots, 1 if strict else remaining // p)
+            prefix += [p] * most
+            for c in range(most, 0, -1):
+                left = remaining - p * c
+                if left == 0:
+                    out.append(_valid_by_construction(cls, prefix))
+                elif left <= (p - 1) * (slots - c):  # smaller parts can fill it
+                    rec(left, p - 1, slots - c, prefix)
+                prefix.pop()
 
     # no partition of ``weight`` has more than ``weight`` rows
     rec(weight, max_part, weight if max_length is None else max_length, [])
@@ -199,8 +202,8 @@ def count_strict_partitions(weight: int, max_part: int) -> int:
 def _valid_by_construction(cls, parts: list[int]):
     """A ``cls`` holding ``parts`` without a second ``_normalize`` pass.
 
-    Only :func:`_enumerate`, which draws each part from a ``range`` below
-    the last, and :func:`merge_doubled` and :func:`split_doubled`, which
+    Only :func:`_enumerate`, which draws each part size from a ``range``
+    below the last, and :func:`merge_doubled` and :func:`split_doubled`, which
     rearrange the parts of validated partitions, use this: their parts are
     positive ints, in decreasing order, and distinct where ``cls`` is strict.
     """

@@ -400,6 +400,25 @@ def test_cache_key_separates_commands(capsys, tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+def test_file_ambient_runs_uncached(capsys, tmp_path, monkeypatch):
+    # the cache key holds the path, not the file's contents: an edited file
+    # or the same relative path seen from another directory must not replay
+    cache = tmp_path / "cache"
+    argv = ("betti", "general", "--ambient", "file:amb.json", "--e", "2",
+            "--f", "2", "--r", "1", "--format", "json")
+    ranks = []
+    for where, b2 in ((tmp_path, 1), (tmp_path, 5), (tmp_path / "other", 3)):
+        where.mkdir(exist_ok=True)
+        monkeypatch.chdir(where)
+        (where / "amb.json").write_text(json.dumps({"dim": 5, "betti": [1, 0, b2]}))
+        _, fresh, _ = run_cli(capsys, *argv)
+        code, cached, _ = run_cli(capsys, *argv, "--cache-dir", str(cache))
+        assert (code, cached) == (0, fresh)
+        ranks.append(dict(json.loads(fresh)["result"]["betti"])[2])
+    assert ranks == [2, 6, 4]
+    assert not cache.exists()
+
+
 # Runs main in a fresh interpreter, then reports on stderr which of these
 # modules it loaded.  An uncached run should load none: OpenSSL's hash module
 # is for cache keys only, and dataclasses (with the inspect it imports) is

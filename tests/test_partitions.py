@@ -166,6 +166,16 @@ def test_enumeration_is_lex_descending():
     assert strict == [(5, 1), (4, 2), (3, 2, 1)]
 
 
+def test_enumeration_depth_grows_with_part_sizes_not_parts():
+    # one recursion level per part overflowed the stack on 1^q, q ~ 990
+    weight = 2 * sys.getrecursionlimit()
+    ones = enumerate_box_partitions(weight, BoxConstraint(1))
+    assert [p.parts for p in ones] == [(1,) * weight]
+    got = [p.parts for p in enumerate_box_partitions(weight, BoxConstraint(2))]
+    assert got == [(2,) * k + (1,) * (weight - 2 * k)
+                   for k in range(weight // 2, -1, -1)]
+
+
 @given(
     weight=st.integers(min_value=0, max_value=16),
     max_part=st.integers(min_value=0, max_value=8),
