@@ -20,53 +20,9 @@ Everything is deterministic; the ``degenloci`` command line exposes each
 calculator with JSON, CSV and pretty output.
 """
 
-from .cells import (
-    OrbitSignature,
-    cell_histogram,
-    chow_ranks_decomposition,
-    enumerate_cells,
-    enumerate_orbit_signatures,
-    orbit_dimension,
-    verify_restriction_bounds_degenerate,
-)
-from .chern import ChernPoly, cgen, qtilde, schur_determinant, series_inverse
-from .errors import OutsideValidityError, VerificationError
-from .loci import (
-    AmbientData,
-    GrassmannBundle,
-    LagrangianBundle,
-    MorphismSetup,
-    betti_degeneracy,
-    betti_orthogonal_special,
-    betti_skew,
-    expected_dimension_general,
-    expected_dimension_skew,
-    fibration_betti,
-    max_lefschetz_general,
-    max_lefschetz_skew,
-    skew_to_orthogonal,
-    thresholds_report,
-    verify_growth_inequalities,
-)
-from .partitions import (
-    BoxConstraint,
-    Partition,
-    StrictPartition,
-    count_box_partitions,
-    count_strict_partitions,
-    enumerate_box_partitions,
-    enumerate_strict_partitions,
-    verify_doubling_bijection,
-)
-from .rings import (
-    RingPresentation,
-    graded_table,
-    grassmannian_presentation,
-    isotropic_presentation,
-    restriction_report,
-)
-from .tables import BettiTable
-from .worked import brill_noether_betti, run_examples
+import sys
+from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -74,52 +30,77 @@ __version__ = "0.1.0"
 # meaning; cached results from other format versions are ignored.
 FORMAT_VERSION = 1
 
-__all__ = [
-    "AmbientData",
-    "BettiTable",
-    "BoxConstraint",
-    "ChernPoly",
-    "FORMAT_VERSION",
-    "GrassmannBundle",
-    "LagrangianBundle",
-    "MorphismSetup",
-    "OrbitSignature",
-    "OutsideValidityError",
-    "Partition",
-    "RingPresentation",
-    "StrictPartition",
-    "VerificationError",
-    "betti_degeneracy",
-    "betti_orthogonal_special",
-    "betti_skew",
-    "brill_noether_betti",
-    "cell_histogram",
-    "cgen",
-    "chow_ranks_decomposition",
-    "count_box_partitions",
-    "count_strict_partitions",
-    "enumerate_box_partitions",
-    "enumerate_cells",
-    "enumerate_orbit_signatures",
-    "enumerate_strict_partitions",
-    "expected_dimension_general",
-    "expected_dimension_skew",
-    "fibration_betti",
-    "graded_table",
-    "grassmannian_presentation",
-    "isotropic_presentation",
-    "max_lefschetz_general",
-    "max_lefschetz_skew",
-    "orbit_dimension",
-    "qtilde",
-    "restriction_report",
-    "run_examples",
-    "schur_determinant",
-    "series_inverse",
-    "skew_to_orthogonal",
-    "thresholds_report",
-    "verify_doubling_bijection",
-    "verify_growth_inequalities",
-    "verify_restriction_bounds_degenerate",
-    "__version__",
-]
+# The module each public name is read from, when it is first asked for.
+_EXPORTS = {
+    "AmbientData": "loci",
+    "BettiTable": "tables",
+    "BoxConstraint": "partitions",
+    "ChernPoly": "chern",
+    "GrassmannBundle": "loci",
+    "LagrangianBundle": "loci",
+    "MorphismSetup": "loci",
+    "OrbitSignature": "cells",
+    "OutsideValidityError": "errors",
+    "Partition": "partitions",
+    "RingPresentation": "rings",
+    "StrictPartition": "partitions",
+    "VerificationError": "errors",
+    "betti_degeneracy": "loci",
+    "betti_orthogonal_special": "loci",
+    "betti_skew": "loci",
+    "brill_noether_betti": "worked",
+    "cell_histogram": "cells",
+    "cgen": "chern",
+    "chow_ranks_decomposition": "cells",
+    "count_box_partitions": "partitions",
+    "count_strict_partitions": "partitions",
+    "enumerate_box_partitions": "partitions",
+    "enumerate_cells": "cells",
+    "enumerate_orbit_signatures": "cells",
+    "enumerate_strict_partitions": "partitions",
+    "expected_dimension_general": "loci",
+    "expected_dimension_skew": "loci",
+    "fibration_betti": "loci",
+    "graded_table": "rings",
+    "grassmannian_presentation": "rings",
+    "isotropic_presentation": "rings",
+    "max_lefschetz_general": "loci",
+    "max_lefschetz_skew": "loci",
+    "orbit_dimension": "cells",
+    "qtilde": "chern",
+    "restriction_report": "rings",
+    "run_examples": "worked",
+    "schur_determinant": "chern",
+    "series_inverse": "chern",
+    "skew_to_orthogonal": "loci",
+    "thresholds_report": "loci",
+    "verify_doubling_bijection": "partitions",
+    "verify_growth_inequalities": "loci",
+    "verify_restriction_bounds_degenerate": "cells",
+}
+
+__all__ = [*_EXPORTS, "FORMAT_VERSION", "__version__"]
+
+# Each calculator module is put in sys.modules and bound here now, but its
+# code runs only when one of its attributes is first read (the documented
+# ``importlib.util.LazyLoader`` recipe).  A module that binds another with
+# ``from . import name`` therefore runs it only when it calls into it, so
+# each process compiles only the modules its command uses.
+for _name in ("cells", "chern", "intlinalg", "loci", "partitions", "rings",
+              "worked"):
+    _spec = find_spec(f"{__name__}.{_name}")
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

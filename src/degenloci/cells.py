@@ -29,8 +29,8 @@ from itertools import combinations
 from operator import index
 from typing import Iterator, Optional
 
+from . import rings
 from .partitions import box_factors, multiply_by_factors
-from .rings import graded_table, isotropic_dimension, isotropic_presentation
 from .tables import BettiTable, FrozenRecord, Record
 
 
@@ -184,8 +184,8 @@ def _nondegenerate_ranks_by_dimension(d: int, r: int) -> list[int]:
     dimension p = rank in cohomological degree 2(dim - p))."""
     if d == 0:
         return [1]
-    dim = isotropic_dimension(d, r)
-    table = graded_table(isotropic_presentation(d, r), 2 * dim)
+    dim = rings.isotropic_dimension(d, r)
+    table = rings.graded_table(rings.isotropic_presentation(d, r), 2 * dim)
     return [table.rank(2 * (dim - p)) for p in range(dim + 1)]
 
 

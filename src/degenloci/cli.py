@@ -21,33 +21,28 @@ each record out of one ``%``-template.  Records go in chunks of a fixed
 size, so the column texts alive at once stay small and rendering holds less
 memory than one text per record would.
 
-Exit codes: 0 on success, 2 on invalid parameters, 3 when a verification
-subcommand finds a genuine failure.
+Exit codes: 0 on success, 1 when the output cannot be written, 2 on
+invalid parameters, 3 when a verification subcommand finds a genuine
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
-from . import FORMAT_VERSION, __version__
+from . import FORMAT_VERSION, __version__, cells, loci, partitions, rings, \
+    worked
 from .cache import ResultCache
-from .cells import cell_histogram, chow_ranks_decomposition, \
-    enumerate_cells, verify_restriction_bounds_degenerate
 from .errors import OutsideValidityError, VerificationError
-from .loci import AmbientData, MorphismSetup, betti_degeneracy, \
-    betti_orthogonal_special, betti_skew, thresholds_report, \
-    verify_growth_sweep
-from .partitions import count_box_partitions, verify_doubling_bijection
-from .rings import graded_table, grassmannian_presentation, \
-    isotropic_dimension, isotropic_presentation, restriction_report
 from .tables import FrozenRecord
-from .worked import run_examples
 
 EXIT_OK = 0
+EXIT_WRITE_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_VERIFICATION = 3
 
@@ -56,7 +51,7 @@ EXIT_VERIFICATION = 3
 # ambient-space argument
 
 
-def parse_ambient(spec: str) -> AmbientData:
+def parse_ambient(spec: str) -> loci.AmbientData:
     """Read an ambient-space description.
 
     Accepted forms: ``point``, ``pn:N`` (projective N-space), ``torus:G``
@@ -64,11 +59,11 @@ def parse_ambient(spec: str) -> AmbientData:
     (JSON object with ``dim`` and a ``betti`` list); else ValueError.
     """
     if spec == "point":
-        return AmbientData.point()
+        return loci.AmbientData.point()
     kind, _, count = spec.partition(":")
     if kind in ("pn", "torus") and count.isascii() and count.isdigit():
-        return (AmbientData.projective_space if kind == "pn"
-                else AmbientData.abelian_variety)(int(count))
+        return (loci.AmbientData.projective_space if kind == "pn"
+                else loci.AmbientData.abelian_variety)(int(count))
     if spec.startswith("file:"):
         path = spec[5:]
         try:
@@ -80,7 +75,7 @@ def parse_ambient(spec: str) -> AmbientData:
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"ambient file {path!r} is not JSON: {exc}") from None
         try:
-            return AmbientData(data["dim"], tuple(data["betti"]))
+            return loci.AmbientData(data["dim"], tuple(data["betti"]))
         except (KeyError, TypeError):
             raise ValueError(f"ambient file {path!r} must hold an object "
                              "with dim and a betti list") from None
@@ -95,11 +90,11 @@ def parse_ambient(spec: str) -> AmbientData:
 
 def _cells_enumerate(p: dict) -> dict:
     n, d, r = p["n"], p["d"], p["r"]
-    cells = enumerate_cells(n, d, r)
+    found = cells.enumerate_cells(n, d, r)
     # each cell becomes its record in place: one copy of it is resident at a time
-    for i, (jumps, dim) in enumerate(cells):
-        cells[i] = {"jumps": list(jumps), "dimension": dim}
-    return {"n": n, "d": d, "r": r, "cells": cells, "total": len(cells)}
+    for i, (jumps, dim) in enumerate(found):
+        found[i] = {"jumps": list(jumps), "dimension": dim}
+    return {"n": n, "d": d, "r": r, "cells": found, "total": len(found)}
 
 
 def _verify_all() -> dict:
@@ -110,13 +105,13 @@ def _verify_all() -> dict:
     def record(name: str, passed: bool, detail: Optional[str] = None):
         checks.append({"name": name, "passed": passed, "detail": detail})
 
-    growth = verify_growth_sweep(max_rank=8, t_max=100)
+    growth = loci.verify_growth_sweep(max_rank=8, t_max=100)
     record("growth-inequalities", growth.passed, growth.failure)
 
-    doubling = verify_doubling_bijection(20, 6)
+    doubling = partitions.verify_doubling_bijection(20, 6)
     record("doubling-bijection", doubling.passed, doubling.failure)
 
-    for rep in run_examples():
+    for rep in worked.run_examples():
         label = "-".join([rep.name] + [str(v) for v in rep.parameters.values()
                                        if not isinstance(v, dict)])
         record(f"example-{label}", rep.match, rep.first_mismatch)
@@ -124,7 +119,7 @@ def _verify_all() -> dict:
     for r in range(1, 5):
         for d in range(1, r + 1):
             try:
-                restriction_report(d, 2 * r, r)
+                rings.restriction_report(d, 2 * r, r)
                 record(f"restriction-{d}-{r}", True)
             except VerificationError as exc:
                 record(f"restriction-{d}-{r}", False, str(exc))
@@ -132,14 +127,14 @@ def _verify_all() -> dict:
     for n in range(2, 7):
         for r in range(0, (n - 1) // 2 + 1):
             for d in range(1, n - r + 1):
-                rep = verify_restriction_bounds_degenerate(n, d, r)
+                rep = cells.verify_restriction_bounds_degenerate(n, d, r)
                 record(f"cells-{n}-{d}-{r}", rep.passed, rep.first_violation)
 
     for r in range(1, 4):
         for d in range(1, r + 1):
-            dim = isotropic_dimension(d, r)
-            table = graded_table(isotropic_presentation(d, r), 2 * dim)
-            hist = cell_histogram(2 * r, d, r)
+            dim = rings.isotropic_dimension(d, r)
+            table = rings.graded_table(rings.isotropic_presentation(d, r), 2 * dim)
+            hist = cells.cell_histogram(2 * r, d, r)
             agree = all(table.rank(2 * q) == hist.get(dim - q, 0)
                         for q in range(dim + 1))
             record(f"ring-vs-cells-{d}-{r}", agree,
@@ -244,8 +239,9 @@ class Command(FrozenRecord):
     first command of each group.  ``params`` maps parsed arguments to the
     envelope's parameters, by default one per argument; ``compute`` maps
     those parameters to the JSON result, an instance of ``returns``.
-    Calculators are looked up by name when ``compute`` runs, so patching
-    this module's globals reaches them.
+    ``compute`` reads each calculator from its module when it runs, so
+    patching that module's attribute (``degenloci.rings.graded_table``, say)
+    reaches it, and a calculator module runs only when a command calls it.
     """
 
     __slots__ = ("name", "arguments", "compute", "csv", "pretty", "help", "params",
@@ -285,7 +281,7 @@ COMMANDS = (
               help="rank bound holding everywhere on the ambient space"),
          _arg("--ambient-jump", type=int,
               help="intersection jump holding everywhere (orthogonal)")),
-        lambda p: thresholds_report(MorphismSetup(
+        lambda p: loci.thresholds_report(loci.MorphismSetup(
             p["kind"], e=p["e"], f=p["f"], r=p["r"], max_rank=p["max_rank"],
             ambient_jump=p["ambient_jump"]), p["dimx"]).to_json_obj(),
         _thresholds_csv, _thresholds_pretty,
@@ -293,37 +289,39 @@ COMMANDS = (
              "of one setup"),
     Command(
         "betti general", (_AMBIENT, _int("--e"), _int("--f"), _int("--r")),
-        lambda p: betti_degeneracy(parse_ambient(p["ambient"]), p["e"], p["f"],
-                                   p["r"]).to_json_obj(),
+        lambda p: loci.betti_degeneracy(parse_ambient(p["ambient"]), p["e"],
+                                        p["f"], p["r"]).to_json_obj(),
         _betti_csv, _betti_pretty, help="Betti table of a rank-drop locus"),
     Command(
         "betti skew", (_AMBIENT, _int("--e"), _int("--r")),
-        lambda p: betti_skew(parse_ambient(p["ambient"]), p["e"],
-                             p["r"]).to_json_obj(),
+        lambda p: loci.betti_skew(parse_ambient(p["ambient"]), p["e"],
+                                  p["r"]).to_json_obj(),
         _betti_csv, _betti_pretty),
     Command(
         "betti orthogonal",
         (_AMBIENT, _arg("--case", required=True, choices=("even", "odd"))),
-        lambda p: betti_orthogonal_special(parse_ambient(p["ambient"]),
-                                           p["case"]).to_json_obj(),
+        lambda p: loci.betti_orthogonal_special(parse_ambient(p["ambient"]),
+                                                p["case"]).to_json_obj(),
         _betti_csv, _betti_pretty),
     Command(
         "ring grassmannian", (_int("--d"), _int("--n"), _int("--max-degree")),
-        lambda p: graded_table(grassmannian_presentation(p["d"], p["n"]),
-                               p["max_degree"]).to_json_obj(),
+        lambda p: rings.graded_table(
+            rings.grassmannian_presentation(p["d"], p["n"]),
+            p["max_degree"]).to_json_obj(),
         _ring_csv, _ring_pretty, help="graded ranks of a cohomology ring"),
     Command(
         "ring isotropic", (_int("--d"), _int("--r"), _int("--max-degree")),
-        lambda p: graded_table(isotropic_presentation(p["d"], p["r"]),
-                               p["max_degree"]).to_json_obj(),
+        lambda p: rings.graded_table(
+            rings.isotropic_presentation(p["d"], p["r"]),
+            p["max_degree"]).to_json_obj(),
         _ring_csv, _ring_pretty),
     Command(
         "restriction",
         (_int("--d"), _int("--r"), _arg("--n", type=int, help="defaults to 2r"),
          _arg("--up-to", type=int, metavar="P",
               help="largest half-degree to compare")),
-        lambda p: restriction_report(p["d"], p["n"], p["r"],
-                                     p["up_to"]).to_json_obj(),
+        lambda p: rings.restriction_report(p["d"], p["n"], p["r"],
+                                           p["up_to"]).to_json_obj(),
         lambda result: ("half_degree,rank_source,rank_target,bijective", [
             [row["half_degree"], row["rank_source"], row["rank_target"],
              row["bijective"]] for row in result["rows"]]),
@@ -344,11 +342,11 @@ COMMANDS = (
              "degenerate form"),
     Command(
         "cells chow", _CELL_SPACE + (_arg("--p-max", type=int),),
-        lambda p: chow_ranks_decomposition(**p).to_json_obj(),
+        lambda p: cells.chow_ranks_decomposition(**p).to_json_obj(),
         _betti_csv, _betti_pretty),
     Command(
         "cells verify", _CELL_SPACE + (_arg("--p-max", type=int),),
-        lambda p: verify_restriction_bounds_degenerate(**p).to_json_obj(),
+        lambda p: cells.verify_restriction_bounds_degenerate(**p).to_json_obj(),
         lambda result: ("dimension,rank_restricted,rank_ambient", result["rows"]),
         lambda result: [
             "passed" if result["passed"]
@@ -357,14 +355,14 @@ COMMANDS = (
     Command(
         "partitions count",
         (_int("--weight"), _int("--max-part"), _arg("--max-length", type=int)),
-        lambda p: dict(p, count=count_box_partitions(**p)),
+        lambda p: dict(p, count=partitions.count_box_partitions(**p)),
         lambda result: ("weight,max_part,max_length,count", [
             [result[k] for k in ("weight", "max_part", "max_length", "count")]]),
         lambda result: [str(result["count"])],
         help="partition counting utilities"),
     Command(
         "partitions bijection", (_int("--q-max"), _int("--max-part")),
-        lambda p: verify_doubling_bijection(**p).to_json_obj(),
+        lambda p: partitions.verify_doubling_bijection(**p).to_json_obj(),
         lambda result: ("quantity,value", sorted(result.items())),
         lambda result: [
             "passed" if result["passed"] else f"FAILED: {result['failure']}",
@@ -374,7 +372,7 @@ COMMANDS = (
         "examples run",
         (_arg("name", nargs="?", default=None,
               help="one example family; all of them when omitted"),),
-        lambda p: [rep.to_json_obj() for rep in run_examples(p["name"])],
+        lambda p: [rep.to_json_obj() for rep in worked.run_examples(p["name"])],
         lambda result: ("name,parameters,match,first_mismatch", [
             [rep["name"], _example_parameters(rep), rep["match"],
              rep["first_mismatch"] or ""] for rep in result]),
@@ -566,7 +564,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "parameters": params, "result": result}
         cache.store(key, envelope)
 
-    sys.stdout.write(_render(args.format, command, envelope))
+    text = _render(args.format, command, envelope)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"degenloci: cannot write output: {exc.strerror}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_WRITE_FAILED
     return EXIT_OK if _result_ok(envelope["result"]) else EXIT_VERIFICATION
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, caching, rendering."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -265,7 +266,7 @@ def test_verification_failure_exit_3(capsys, monkeypatch):
     def broken(d, n, r, up_to=None):
         raise VerificationError("forced failure")
 
-    monkeypatch.setattr("degenloci.cli.restriction_report", broken)
+    monkeypatch.setattr("degenloci.rings.restriction_report", broken)
     code, _, err = run_cli(capsys, "restriction", "--d", "2", "--r", "3")
     assert code == 3
     assert "verification failed" in err
@@ -275,7 +276,7 @@ def test_failed_checks_exit_3(capsys, monkeypatch):
     fake = SimpleNamespace(to_json_obj=lambda: {
         "name": "segre", "parameters": {}, "computed": [], "oracle": [],
         "match": False, "first_mismatch": "forced", "notes": []})
-    monkeypatch.setattr("degenloci.cli.run_examples", lambda name: [fake])
+    monkeypatch.setattr("degenloci.worked.run_examples", lambda name: [fake])
     code, out, _ = run_cli(capsys, "examples", "run", "--format", "pretty")
     assert code == 3
     assert "FAILED: forced" in out
@@ -420,51 +421,109 @@ def test_file_ambient_runs_uncached(capsys, tmp_path, monkeypatch):
 
 
 # Runs main in a fresh interpreter, then reports on stderr which of these
-# modules it loaded.  An uncached run should load none: OpenSSL's hash module
-# is for cache keys only, and dataclasses (with the inspect it imports) is
-# start-up time alone.
+# modules it loaded and, on a second line, which calculator modules ran.  An
+# uncached run should load none of the first: OpenSSL's hash module is for
+# cache keys only, and dataclasses (with the inspect it imports) is start-up
+# time alone.  The package registers each calculator module lazily, and a
+# registered module keeps the lazy loader's module type until its code runs.
 _PROBED = ("_hashlib", "dataclasses", "inspect")
+_CALCULATORS = ("cells", "chern", "intlinalg", "loci", "partitions", "rings",
+                "worked")
 _MODULE_PROBE = f"""\
-import sys
+import sys, types
 from degenloci.cli import main
 try:
     main(sys.argv[1:])
 finally:
     print(*(name for name in {_PROBED!r} if name in sys.modules), file=sys.stderr)
+    print(*(name for name in {_CALCULATORS!r}
+            if type(sys.modules.get("degenloci." + name)) is types.ModuleType),
+          file=sys.stderr)
 """
 _RING_G24 = ("ring", "grassmannian", "--d", "2", "--n", "4", "--max-degree", "8")
+_CELLS_6 = ("cells", "enumerate", "--n", "6", "--d", "2", "--r", "1")
+
+
+def _job_env() -> dict:
+    """The environment of a fresh interpreter importing this source tree."""
+    env = {k: v for k, v in os.environ.items() if k != "DEGENLOCI_CACHE_DIR"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    return env
 
 
 def _probe_modules(*argv):
-    """Which of :data:`_PROBED` a fresh interpreter running ``argv`` loads."""
-    env = {k: v for k, v in os.environ.items() if k != "DEGENLOCI_CACHE_DIR"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    """Which of :data:`_PROBED` a fresh interpreter running ``argv`` loads,
+    and which of :data:`_CALCULATORS` it runs."""
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_job_env())
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    loaded, ran = proc.stderr.splitlines()[-2:]
+    return set(loaded.split()), set(ran.split())
 
 
-@pytest.mark.parametrize("argv", [
-    ("--version",), _RING_G24,
-    ("cells", "enumerate", "--n", "6", "--d", "2", "--r", "1"),
-    ("verify", "all")],
-    ids=["version", "ring", "cells", "verify-all"])
-def test_uncached_run_never_loads_hashlib(argv):
-    assert _probe_modules(*argv) == set()
+@pytest.mark.parametrize("argv, runs", [
+    (("--version",), ()),
+    (_RING_G24, ("chern", "intlinalg", "partitions", "rings")),
+    (_CELLS_6, ("cells", "partitions")),
+    (("verify", "all"), _CALCULATORS),
+    (("thresholds", "--kind", "skew", "--e", "6", "--r", "2", "--dimx", "10"),
+     ("loci", "partitions"))],
+    ids=["version", "ring", "cells", "verify-all", "thresholds"])
+def test_uncached_run_never_loads_hashlib(argv, runs):
+    # and runs only the calculator modules its command calls into
+    assert _probe_modules(*argv) == (set(), set(runs))
 
 
 def test_cached_run_keeps_its_cache_file_name(capsys, tmp_path, monkeypatch):
     # the key of this run is frozen: existing cache directories still hit
     argv = _RING_G24 + ("--cache-dir", str(tmp_path))
-    assert "_hashlib" in _probe_modules(*argv)
+    assert "_hashlib" in _probe_modules(*argv)[0]
     [path] = tmp_path.iterdir()
     assert path.name == ("fc3c4d1077d9b80c0f2582bf2d69b44d8398da00879230f3"
                          "69b5222819c54ea6.json")
+    assert _probe_modules(*argv)[1] == set()  # a replay runs no calculator
     caches = _capture_caches(monkeypatch)
     assert run_cli(capsys, *argv)[0] == 0
     assert (caches[0].hits, caches[0].misses) == (1, 0)
     assert list(tmp_path.iterdir()) == [path]
+
+
+_TRACE_BOOT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "perfbench", "trace_boot.py")
+
+
+@pytest.mark.parametrize("argv, called", [
+    (_RING_G24 + ("--format", "csv"), {"cli.main", "rings.graded_table"}),
+    (_CELLS_6 + ("--format", "json"), {"cli.main"})], ids=["ring", "cells"])
+def test_benchmark_tracer_finds_every_module(tmp_path, argv, called):
+    # the benchmark's tracer imports degenloci.cli, then wraps functions it
+    # reads from sys.modules["degenloci.<name>"], lazily registered or not
+    spans_file = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, _TRACE_BOOT, str(spans_file), *argv],
+                            capture_output=True, env=_job_env())
+    plain = subprocess.run([sys.executable, "-m", "degenloci", *argv],
+                           capture_output=True, env=_job_env())
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout != b""
+    doc = json.loads(spans_file.read_text())
+    assert {"cli.main", "rings.graded_table"} <= set(doc["names"])
+    assert {doc["names"][span[0]] for span in doc["spans"]} >= called
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_output_write_exits_1(unbuffered):
+    # buffered, the write fails at flush; unbuffered, at the write itself
+    env = _job_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "degenloci", *_RING_G24,
+                               "--format", "csv"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"degenloci: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_cache_env_var_and_override(capsys, tmp_path, monkeypatch):
