@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 # Bumped whenever the serialized output of any calculator changes shape or
 # meaning; cached results from other format versions are ignored.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # The module each public name is read from, when it is first asked for.
 _EXPORTS = {

@@ -174,9 +174,6 @@ class ChernPoly:
         return ChernPoly._from_canonical({m: c for m, c in self.terms.items()
                                           if monomial_degree(m) == degree})
 
-    def generators(self) -> set[str]:
-        return {name for mon in self.terms for name, _ in mon}
-
     def substitute(self, name: str, value: Union["ChernPoly", int]) -> "ChernPoly":
         """Replace one generator by a polynomial (or integer)."""
         value = _poly(value)

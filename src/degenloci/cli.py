@@ -531,12 +531,20 @@ def _json_records(records, pad: str) -> list[str]:
     return chunks
 
 
+def _csv_field(value: object) -> str:
+    """RFC 4180: a field holding , or " or a line break is quoted, " doubled."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render(fmt: str, command: Command, envelope: dict) -> str:
     if fmt == "json":
         return _json_text(envelope) + "\n"
     if fmt == "csv":
         header, rows = command.csv(envelope["result"])
-        return "\n".join([header] + [",".join(map(str, row))
+        return "\n".join([header] + [",".join(map(_csv_field, row))
                                      for row in rows]) + "\n"
     return "\n".join(command.pretty(envelope["result"])) + "\n"
 

@@ -3,10 +3,10 @@
 Graded ring tables need, per graded piece, the rank of a relation matrix A,
 the torsion of its cokernel and a monomial basis of the quotient.
 :func:`cokernel` gets all three from one sparse pass that inserts the rows
-one at a time and pivots only on entries +-1 (after Dumas, Saunders and
-Villard, "On efficient sparse integer matrix Smith normal form
-computations", J. Symbolic Comput. 32, 2001).  Every operation of that
-pass is unimodular, so with k unit pivots
+one at a time and pivots a row on its largest column when that entry is
++-1 (after Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations", J. Symbolic Comput. 32, 2001).  Every
+operation of that pass is unimodular, so with k unit pivots
 
     Smith(A) = I_k + Smith(residual),
 
@@ -15,13 +15,13 @@ of the residual comes from :func:`elementary_divisors`, a reduced Hermite
 reduction by unimodular 2x2 extended-gcd steps (after Kannan and Bachem,
 SIAM J. Comput. 8, 1979, and Domich, Kannan and Trotter, Math. Oper. Res.
 12, 1987): every step has determinant 1, so the Smith form is read off the
-diagonalized basis.  The same Hermite routine gives the monomial basis of
-the quotient: a kernel basis of the residual, lifted through the unit
-pivots, and the pivot columns of that kernel taken from the right.  So the
-unit pass and :func:`_hermite` are the only eliminations :func:`cokernel`
-runs.  Dense fraction-free (Bareiss) elimination and ranks modulo a prime
-remain as reference routines.  :func:`cokernel` reads sparse rows
-``{column: entry}``, the format :func:`degenloci.rings.relation_rows`
+diagonalized basis.  The monomial basis is the set of columns that are
+neither unit pivots nor pivots of the residual's Hermite basis read from the
+right; with no residual it is the non-pivot columns, a certified Z-basis.
+So the unit pass and :func:`_hermite` are the only eliminations
+:func:`cokernel` runs.  Dense fraction-free (Bareiss) elimination and ranks
+modulo a prime remain as reference routines.  :func:`cokernel` reads sparse
+rows ``{column: entry}``, the format :func:`degenloci.rings.relation_rows`
 builds; the other routines read dense lists of rows.  Entries are read with
 ``operator.index`` (a float or a string raises TypeError); everything stays
 in exact arithmetic.
@@ -79,8 +79,8 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], int]:
 def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Bareiss elimination; returns (rank, pivot column indices).
 
-    Columns are consumed left to right, so with a graded-lex column order the
-    non-pivot columns are the standard monomials of the quotient.
+    Columns are consumed left to right; on reversed columns the pivots are
+    the right-greedy basis, whose complement :func:`cokernel` reports.
     """
     rank, pivots, _ = _echelon(rows)
     return rank, pivots
@@ -226,17 +226,17 @@ def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> No
 
 def _unit_pivots(rows: list[dict[int, int]]
                  ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
-    """Gauss-Jordan elimination that pivots only on entries +-1.
+    """Gauss-Jordan elimination on the +-1 entries at rows' largest columns.
 
     Inserts the rows one at a time.  Each row is cleared of the pivot
     columns it holds (the pivot rows are reduced, so one pass suffices);
-    if a +-1 is left, its largest column becomes the row's pivot (on ring
-    pieces the smallest leaves residuals and runs slower): the row is
-    scaled to +1 there and that column is cleared from the earlier pivot
-    rows.  Otherwise the row waits, and the waiting rows are inserted again
-    while the last pass added a pivot, so no unit is left in the residual.
-    Returns the pivot rows keyed by pivot column, each +1 there and 0 in
-    every other pivot column, and the residual rows, which vanish in all of them.
+    if the entry at its largest column is then +-1, the row is scaled to +1
+    there and that column is cleared from the earlier pivot rows, which
+    gain entries only left of their own pivots.  Otherwise the row waits,
+    and the waiting rows are inserted again while the last pass added a
+    pivot.  Returns the pivot rows keyed by pivot column, each +1 there and
+    0 right of it and in every other pivot column, and the residual rows,
+    which vanish in all pivot columns.
     """
     pivots: dict[int, dict[int, int]] = {}
     waiting, added = rows, True
@@ -245,8 +245,8 @@ def _unit_pivots(rows: list[dict[int, int]]
         for row in rows:
             for c in [c for c in row if c in pivots]:
                 _subtract(row, row[c], pivots[c])
-            col = max((j for j, v in row.items() if v in (1, -1)), default=None)
-            if col is None:
+            col = max(row, default=None)
+            if col is None or row[col] not in (1, -1):
                 waiting.append(row)
                 continue
             if row[col] < 0:
@@ -272,35 +272,24 @@ def cokernel(rows: Iterable[Mapping[int, int]], ncols: int
     """One elimination pass over the cokernel ``Z^ncols / rowspan`` of
     sparse rows ``{column: entry}``, which it leaves unchanged.
 
-    Returns (rank of the row span, torsion invariants, free columns).  The unit
-    pass inserts the rows by ascending largest column, which keeps ring pieces
-    sparse; by the module docstring's certificate, rank and torsion are its
-    pivots plus :func:`elementary_divisors` of R^T, which has the Smith form of
-    the residual R.  The free columns are exactly the non-pivot columns of
-    :func:`fraction_free_echelon`: the complement of the left-greedy column
-    basis, i.e. the right-greedy basis of the dual matroid, whose columns are
-    those of a kernel basis.  The Hermite basis of ``[R^T | I]`` holds a
-    Z-basis of ker R in its rows that vanish on R^T (Cohen, GTM 138, section
-    2.4); each is lifted through the reduced pivot rows (``x_c = -sum
-    r_c[j] x_j``), and the pivot columns of a Hermite basis of the kernel,
-    taken with its columns reversed, are its right-greedy column basis.
+    Returns (rank of the row span, torsion invariants, free columns).  The
+    unit pass inserts the rows by ascending largest column, which keeps ring
+    pieces sparse; rank and torsion are its pivots plus
+    :func:`elementary_divisors` of R^T, which has the Smith form of the
+    residual R.  The free columns complement the right-greedy column basis:
+    with columns in a monomial order, the standard monomials.  Each pivot
+    row's largest column is its pivot and R vanishes on the pivots, so the
+    pivot rows and a Hermite basis of R on reversed columns have distinct
+    largest columns, which form that basis.  With R empty, each pivot row
+    writes its pivot column over the free columns, which are thus a Z-basis.
     """
     pivots, residual = _unit_pivots(sorted(_sparse_rows(rows, ncols), key=max))
-    rest = [j for j in range(ncols) if j not in pivots]
-    transposed = [[r.get(j, 0) for r in residual] for j in rest]
-    divisors = elementary_divisors(transposed)
+    rest = [j for j in range(ncols - 1, -1, -1) if j not in pivots]
+    divisors = elementary_divisors([[r.get(j, 0) for r in residual] for j in rest])
     rank = len(pivots) + len(divisors)
-    stacked = [t + [int(j == k) for k in rest] for j, t in zip(rest, transposed)]
-    kernel = []
-    for lead, row in _hermite(stacked).items():
-        if lead < len(residual):
-            continue
-        y = [(j, v) for j, v in zip(rest, row[len(residual):]) if v]
-        x = dict(y)
-        for c, pivot in pivots.items():
-            x[c] = -sum(pivot.get(j, 0) * v for j, v in y)
-        kernel.append([x.get(j, 0) for j in range(ncols - 1, -1, -1)])
-    free = sorted(ncols - 1 - j for j in _hermite(kernel))
+    reversed_rows = [[r.get(j, 0) for j in rest] for r in residual]
+    leading = {rest[k] for k in _hermite(reversed_rows)}
+    free = [j for j in range(ncols) if j not in pivots and j not in leading]
     if len(free) != ncols - rank:
-        raise ArithmeticError("kernel basis does not match the rank")
+        raise ArithmeticError("free columns do not match the rank")
     return rank, [d for d in divisors if d > 1], free

@@ -50,7 +50,10 @@ class AmbientData(FrozenRecord):
             raise ValueError("Betti numbers must be nonnegative")
         if len(b) > 2 * self.dim + 1 and any(b[2 * self.dim + 1:]):
             raise ValueError("nonzero Betti number above twice the dimension")
-        b = (b + (0,) * (2 * self.dim + 1))[: 2 * self.dim + 1]
+        try:
+            b = (b + (0,) * (2 * self.dim + 1))[: 2 * self.dim + 1]
+        except OverflowError:
+            raise ValueError(f"dimension {self.dim} is too large") from None
         if b[0] < 1:
             raise ValueError("b_0 must be at least 1")
         object.__setattr__(self, "betti", b)

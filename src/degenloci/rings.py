@@ -11,7 +11,7 @@ with ``c_i`` in cohomological degree 2i:
 
 Everything else reads those presentations: the restriction certificate
 (:func:`_containment_certificate`) and the graded tables (rank, torsion,
-monomial basis per degree), computed by exact integer elimination.
+integral monomial basis per degree), computed by exact integer elimination.
 """
 
 from __future__ import annotations
@@ -152,8 +152,10 @@ class GradedTable(Record):
 
 
 def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
-    """Rank, torsion and a standard-monomial basis of every graded piece of
-    the quotient up to the given cohomological degree."""
+    """Rank, torsion and a monomial basis of every graded piece of the
+    quotient up to the given cohomological degree: the standard monomials
+    of graded revlex, c_1 > ... > c_d, which :func:`cokernel` certifies as a
+    Z-basis of every piece its unit pass leaves no residual on."""
     if up_to_degree < 0:
         raise ValueError("up_to_degree must be nonnegative")
     rows: list[GradedRow] = []

@@ -45,8 +45,8 @@ def criterion(num, text, cap):
 
 def test_criterion_01_grassmannian_hilbert_functions(capsys):
     with criterion(1, "Grassmannian ring ranks are box-partition counts, "
-                      "torsion-free, for d <= n <= 9 in every degree", capsys):
-        for n in range(1, 10):
+                      "torsion-free, for d <= n <= 10 in every degree", capsys):
+        for n in range(1, 11):
             for d in range(1, n + 1):
                 dim = grassmannian_dimension(d, n)
                 # generators sit in half-degrees 1..d, so once d consecutive

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, caching, rendering."""
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -119,10 +120,11 @@ def test_ambient_count_takes_ascii_digits_only(capsys, spec):
     None, "directory", "{not json", '{"betti": [1]}', '{"dim": 1}', "[1, 2]",
     '{"dim": 2, "betti": [1, 0, 1.9, 0, 1]}', '{"dim": 2.7, "betti": [1]}',
     '{"dim": 2, "betti": "10101"}', '{"dim": true, "betti": [1, 0, 1]}',
-    '{"dim": 1, "betti": [true, 0, 1]}', "[" * 200000],
+    '{"dim": 1, "betti": [true, 0, 1]}', "[" * 200000,
+    '{"dim": 1000000000000000000000, "betti": [1]}'],
     ids=["missing", "directory", "invalid-json", "no-dim", "no-betti",
          "not-object", "float-betti", "float-dim", "string-betti", "bool-dim",
-         "bool-betti", "deeply-nested"])
+         "bool-betti", "deeply-nested", "huge-dim"])
 def test_bad_ambient_file_exits_2(capsys, tmp_path, content):
     path = tmp_path / "space.json"
     if content == "directory":
@@ -475,12 +477,13 @@ def test_uncached_run_never_loads_hashlib(argv, runs):
 
 
 def test_cached_run_keeps_its_cache_file_name(capsys, tmp_path, monkeypatch):
-    # the key of this run is frozen: existing cache directories still hit
+    # the key of this run is frozen at FORMAT_VERSION 2: existing cache
+    # directories still hit until the version changes
     argv = _RING_G24 + ("--cache-dir", str(tmp_path))
     assert "_hashlib" in _probe_modules(*argv)[0]
     [path] = tmp_path.iterdir()
-    assert path.name == ("fc3c4d1077d9b80c0f2582bf2d69b44d8398da00879230f3"
-                         "69b5222819c54ea6.json")
+    assert path.name == ("b8ebef098aae99c3fef5dde18d4fcd548b45ab12b88ea586"
+                         "3be7517a0228ea3c.json")
     assert _probe_modules(*argv)[1] == set()  # a replay runs no calculator
     caches = _capture_caches(monkeypatch)
     assert run_cli(capsys, *argv)[0] == 0
@@ -648,9 +651,9 @@ def test_json_output_matches_stdlib(capsys):
 # past the reach of the brute-force enumeration test (n <= 12)
 _FROZEN_ENUMERATIONS = {
     ("18", "9", "3"):
-        "627e7ce8d9df5181e0c36a92bb774be5bbe61415b63e6dfe251b9f99ca3f8a2b",
+        "b93a19d657741ae97515943fb968489afb5df312d4f14f3244af8ea4c320e3e8",
     ("19", "7", "3"):
-        "2b820f6c1389ddfc7690147d35275861cd8a05aa43af15700b069d2843cb296c",
+        "13e8c597b2e6a115d51b494b5f255cadea6c2ff50bacb720263c6b7f0417dbec",
 }
 
 
@@ -731,6 +734,22 @@ def test_examples_csv(capsys):
     assert lines[0] == "name,parameters,match,first_mismatch"
     assert len(lines) == 4
     assert all(line.split(",")[2] == "True" for line in lines[1:])
+
+
+def test_csv_fields_holding_commas_are_quoted(capsys, monkeypatch):
+    # a wrong oracle makes every mismatch message hold a comma
+    monkeypatch.setattr("degenloci.worked.product_projective_betti",
+                        lambda a, b, top: [7] * (top + 1))
+    code, out, _ = run_cli(capsys, "examples", "run", "segre",
+                           "--format", "csv")
+    assert code == 3
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["name", "parameters", "match", "first_mismatch"]
+    assert len(rows) == 3 and all(len(row) == 4 for row in rows)
+    assert rows[0][3] == "degree 0: computed 1, oracle 7"
+    fields = ["a,b", 'say "x"', "two\nlines", "plain", 3]
+    line = ",".join(map(cli._csv_field, fields))
+    assert next(csv.reader(io.StringIO(line))) == list(map(str, fields))
 
 
 def test_verify_battery(capsys):

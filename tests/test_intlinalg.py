@@ -286,6 +286,13 @@ cokernel_matrices = st.one_of(
 )
 
 
+def _free_columns(rows, ncols):
+    """The complement of the right-greedy column basis: the non-pivot columns
+    of Bareiss elimination run on the columns reversed."""
+    _, pivots = fraction_free_echelon([row[::-1] for row in rows])
+    return [j for j in range(ncols) if ncols - 1 - j not in pivots]
+
+
 def _with_stacked_rows(rows):
     """The rows followed by a duplicate, a negation and a sum of two of them:
     the same row span, hence the same cokernel."""
@@ -302,9 +309,8 @@ def test_cokernel_matches_echelon_and_smith(case, stacked):
     if stacked:
         rows = _with_stacked_rows(rows)
     rank, torsion, free = cokernel(_sparse(rows), ncols)
-    echelon_rank, pivots = fraction_free_echelon(rows)
-    assert rank == echelon_rank
-    assert free == [j for j in range(ncols) if j not in pivots]
+    assert rank == integer_rank(rows)
+    assert free == _free_columns(rows, ncols)
     divisors = elementary_divisors(rows)
     assert torsion == [d for d in divisors if d > 1]
     assert torsion_invariants(rows) == torsion
@@ -328,11 +334,14 @@ def test_cokernel_matches_sympy_smith_form(case):
 
 @settings(max_examples=300)
 @given(cokernel_matrices, st.booleans())
-# clearing the pivot of column 1 from the second row turns its 3 into a
-# unit in column 2, which only the reduced row shows
+# both rows hold a unit, but neither at its largest column, so both wait
+# and the whole matrix is the residual
 @example(([[0, 1, 2], [2, 1, 3]], 3), False)
-# the first row has no unit until the second row's pivot clears column 1,
-# so it waits for the next pass
+# clearing the pivot of column 2 from the second row leaves -1 at its new
+# largest column 1, which only the reduced row shows
+@example(([[0, 1, 1], [2, 3, 4]], 3), False)
+# the first row has no unit at its largest column until the second row's
+# pivot clears column 1, so it waits for the next pass
 @example(([[2, 3], [1, 1]], 2), False)
 def test_unit_pass_leaves_no_unit(case, stacked):
     from degenloci.intlinalg import _sparse_rows, _unit_pivots
@@ -341,10 +350,13 @@ def test_unit_pass_leaves_no_unit(case, stacked):
     if stacked:
         rows = _with_stacked_rows(rows)
     pivots, residual = _unit_pivots(_sparse_rows(_sparse(rows), ncols))
+    # every pivot row keeps its pivot as its largest column, so the pivot
+    # rows and an echelon form of the residual have distinct largest columns
     for c, row in pivots.items():
-        assert row[c] == 1 and not set(row) & (set(pivots) - {c})
+        assert row[c] == 1 and max(row) == c
+        assert not set(row) & (set(pivots) - {c})
     assert not any(set(row) & set(pivots) for row in residual)
-    assert not any(v in (1, -1) for row in residual for v in row.values())
+    assert all(row and row[max(row)] not in (1, -1) for row in residual)
     dense = [[row.get(j, 0) for j in range(ncols)] for row in residual]
     assert len(pivots) + integer_rank(dense) == integer_rank(rows)
 
@@ -352,21 +364,30 @@ def test_unit_pass_leaves_no_unit(case, stacked):
 def test_cokernel_known_cases():
     assert cokernel(_sparse([[2, 0], [0, 3]]), 2) == (2, [6], [])
     assert cokernel(_sparse([[2, 4], [6, 8], [-2, -4], [8, 12]]), 2) == (2, [2, 4], [])
-    assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [1, 2])
+    # with a residual the free columns need not span over Z: modulo
+    # torsion, column 0 is -2 times column 1
+    assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [0, 2])
     assert cokernel([], 3) == (0, [], [0, 1, 2])
     assert cokernel(_sparse([[0, 0]]), 2) == (0, [], [0, 1])
-    # pivots on units from the right, yet the free columns are those of
-    # left-to-right elimination
-    assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [2])
-    # no unit at all: the whole kernel comes from the residual
-    assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [2])
-    # a unit pivot beside a residual: the kernel vectors of the residual
-    # are lifted through the pivot rows
-    assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (2, [2], [1, 3])
-    assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (2, [2], [2, 3])
-    # only the lift puts the residual's kernel vector e_0 on column 2
-    assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [2])
+    # each pivot row writes its pivot column over column 0
+    assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [0])
+    # no unit at all: the residual's Hermite basis, columns reversed, leads
+    # at columns 2 and 1
+    assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [0])
+    # units only left of a larger entry: every row waits, and the residual
+    # leads at columns 3 and 0, then 2 and 1
+    assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (2, [2], [1, 2])
+    assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (2, [2], [0, 3])
+    # a unit pivot at column 2 beside a residual at column 1
+    assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [0])
     assert cokernel([], 0) == (0, [], [])
+    # every case agrees with Bareiss elimination on reversed columns
+    cases = [([[2, 4, 0]], 3), ([[1, 1, 0], [0, 1, 1]], 3),
+             ([[2, 4, 6], [4, 2, 0]], 3), ([[1, 0, 2, 4], [0, 0, 2, 4]], 4),
+             ([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]], 4),
+             ([[1, 0, 1], [0, 2, 0]], 3)]
+    for rows, ncols in cases:
+        assert cokernel(_sparse(rows), ncols)[2] == _free_columns(rows, ncols)
 
 
 def test_cokernel_leaves_its_input_unchanged():

@@ -208,22 +208,26 @@ def test_piece_without_a_residual_matches_dense_elimination():
     _, residual = _unit_pivots(_sparse_rows(rows, len(monos)))
     assert not residual
     dense = [[row.get(j, 0) for j in range(len(monos))] for row in rows]
-    ideal_rank, pivots = fraction_free_echelon(dense)
     assert not [d for d in elementary_divisors(dense) if d > 1]
+    # the basis complements the pivots of elimination from the right
+    ideal_rank, pivots = fraction_free_echelon([row[::-1] for row in dense])
     row = graded_table(pres, 34).rows[34]
     assert (row.num_monomials, row.rank, row.torsion) == (
         len(monos), len(monos) - ideal_rank, ())
     assert row.rank == count_in_box(17, 4, 4)
-    assert row.basis == tuple(m for i, m in enumerate(monos) if i not in pivots)
+    assert row.basis == tuple(m for i, m in enumerate(monos)
+                              if len(monos) - 1 - i not in pivots)
 
 
 # (rank, torsion, free columns) of the two largest G(5,11) pieces, frozen
-# from an independent computation: a column sweep of unit pivots that left
-# 238 x 27 and 444 x 38 residuals (entries of 49 and 62 bits), then a
-# textbook Smith reduction of those; row insertion leaves no residual
+# from independent computations: rank and torsion from a column sweep of
+# unit pivots that left 238 x 27 and 444 x 38 residuals (entries of 49 and
+# 62 bits), then a textbook Smith reduction of those; the free columns from
+# dense Bareiss elimination on the columns reversed.  Row insertion leaves
+# no residual
 @pytest.mark.parametrize("q, frozen", [
-    (27, (477, [], [477, 478, 479])),
-    (30, (673, [], [673])),
+    (27, (477, [], [0, 2, 13])),
+    (30, (673, [], [0])),
 ])
 def test_grassmannian_5_11_largest_pieces_are_frozen(q, frozen):
     from degenloci.intlinalg import _sparse_rows, _unit_pivots, cokernel
@@ -255,6 +259,26 @@ def test_basis_rows_match_rank():
     for row in tbl.rows:
         assert len(row.basis) == row.rank
         assert all(monomial_degree(m) == row.degree for m in row.basis)
+
+
+def test_basis_is_integral_on_small_windows():
+    # the relation rows plus one unit row per basis monomial span the whole
+    # lattice, so the basis generates every piece over Z; the complement of
+    # the left-greedy pivots fails this, e.g. c1^3 = 2 c1c2 in G(2,4)
+    from degenloci.intlinalg import elementary_divisors
+
+    windows = [(grassmannian_presentation(d, n), grassmannian_dimension(d, n))
+               for n in range(2, 9) for d in range(1, n)]
+    windows += [(isotropic_presentation(d, r), isotropic_dimension(d, r))
+                for r in range(1, 6) for d in range(1, r + 1)]
+    for pres, top in windows:
+        table = graded_table(pres, 2 * top)
+        for q in range(top + 1):
+            rows, monos = relation_rows(pres, q)
+            column = {m: j for j, m in enumerate(monos)}
+            rows += [{column[m]: 1} for m in table.rows[2 * q].basis]
+            dense = [[row.get(j, 0) for j in range(len(monos))] for row in rows]
+            assert elementary_divisors(dense) == [1] * len(monos), (pres, q)
 
 
 # ---------------------------------------------------------------------------
