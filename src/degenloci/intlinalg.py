@@ -1,94 +1,39 @@
 """Exact linear algebra over the integers.
 
 Graded ring tables need, per graded piece, the rank of a relation matrix A,
-the torsion of its cokernel and a monomial basis of the quotient.
-:func:`cokernel` gets all three from one sparse pass that inserts the rows
-one at a time and pivots a row on its largest column when that entry is
-+-1 (after Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations", J. Symbolic Comput. 32, 2001).  Every
-operation of that pass is unimodular, so with k unit pivots
+the torsion of its cokernel and a monomial basis of the quotient.  Two
+eliminations serve every routine here.  :func:`_unit_pivots` is a sparse
+pass that inserts the rows one at a time and pivots a row on its largest
+column when that entry is +-1 (after Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", J. Symbolic
+Comput. 32, 2001).  Every operation of that pass is unimodular, so with k
+unit pivots
 
-    Smith(A) = I_k + Smith(residual),
+    Smith(A) = I_k + Smith(residual).
 
-and an empty residual certifies that the cokernel is free.  The Smith form
-of the residual comes from :func:`elementary_divisors`, a reduced Hermite
-reduction by unimodular 2x2 extended-gcd steps (after Kannan and Bachem,
-SIAM J. Comput. 8, 1979, and Domich, Kannan and Trotter, Math. Oper. Res.
-12, 1987): every step has determinant 1, so the Smith form is read off the
-diagonalized basis.  The monomial basis is the set of columns that are
-neither unit pivots nor pivots of the residual's Hermite basis read from the
-right; with no residual it is the non-pivot columns, a certified Z-basis.
-So the unit pass and :func:`_hermite` are the only eliminations
-:func:`cokernel` runs.  Dense fraction-free (Bareiss) elimination and ranks
-modulo a prime remain as reference routines.  :func:`cokernel` reads sparse
-rows ``{column: entry}``, the format :func:`degenloci.rings.relation_rows`
-builds; the other routines read dense lists of rows.  Entries are read with
-``operator.index`` (a float or a string raises TypeError); everything stays
-in exact arithmetic.
+:func:`_hermite` is a reduced Hermite reduction by unimodular 2x2
+extended-gcd steps (after Kannan and Bachem, SIAM J. Comput. 8, 1979, and
+Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  The dense routines
+are readings of it: rank and pivot columns (:func:`fraction_free_echelon`,
+:func:`integer_rank`), the Smith form of a basis reduced until diagonal
+(:func:`elementary_divisors`), and from that the torsion and the rank
+modulo a prime.  :func:`cokernel` runs the unit pass and reduces its
+residual once; that one Hermite basis gives the torsion, the monomial
+basis (the columns that are neither unit pivots nor its pivots read from
+the right) and a certificate that this basis is a Z-basis: the product of
+its pivots equals that of the elementary divisors.  An empty residual
+certifies both a free cokernel and the basis.  :func:`cokernel` reads
+sparse rows ``{column: entry}``, the format
+:func:`degenloci.rings.relation_rows` builds; the other routines read
+dense lists of rows.  Entries are read with ``operator.index`` (a float or
+a string raises TypeError); everything stays in exact arithmetic.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import index
 from typing import Iterable, Mapping, Sequence
-
-
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], int]:
-    """Bareiss elimination core.
-
-    Returns (rank, pivot column indices, last pivot).  By the fraction-free
-    invariant the k-th pivot is, up to sign, the k x k minor of the input on
-    the pivot rows and columns chosen so far, so the last pivot is a
-    maximal-rank minor of the matrix.
-    """
-    m = [row for row in (list(map(index, row)) for row in rows) if any(row)]
-    if not m:
-        return 0, [], 1
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    prev = 1
-    col = 0
-    pivots: list[int] = []
-    while rank < len(m) and col < ncols:
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if not any(m[i][col:]):
-                continue
-            factor = m[i][col]
-            for j in range(col, ncols):
-                m[i][j] = (piv * m[i][j] - factor * m[rank][j]) // prev
-        prev = piv
-        pivots.append(col)
-        rank += 1
-        col += 1
-    return rank, pivots, prev
-
-
-def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Bareiss elimination; returns (rank, pivot column indices).
-
-    Columns are consumed left to right; on reversed columns the pivots are
-    the right-greedy basis, whose complement :func:`cokernel` reports.
-    """
-    rank, pivots, _ = _echelon(rows)
-    return rank, pivots
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, computed fraction-free."""
-    return _echelon(rows)[0]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -143,6 +88,32 @@ def _hermite(rows: list[list[int]]) -> dict[int, list[int]]:
     return basis
 
 
+def _dense(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Copies of dense rows read with ``operator.index``; raises ValueError
+    on rows of different lengths."""
+    m = [list(map(index, row)) for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix")
+    return m
+
+
+def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """(rank, pivot column indices) of the reduced Hermite basis.
+
+    The pivots of any echelon form of the row span are its left-greedy
+    column basis, so they are the pivots fraction-free (Bareiss) elimination
+    returns; on reversed columns they are the right-greedy basis, whose
+    complement :func:`cokernel` reports.
+    """
+    basis = _hermite(_dense(rows))
+    return len(basis), sorted(basis)
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: the length of the reduced Hermite basis."""
+    return fraction_free_echelon(rows)[0]
+
+
 def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
@@ -153,9 +124,7 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     only, so A and the diagonal have the same Smith form; pairwise gcd and
     lcm then put the diagonal in divisibility order.
     """
-    m = [list(map(index, row)) for row in rows]
-    if any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
+    m = _dense(rows)
     while True:
         basis = _hermite(m)
         if all(not any(row[j + 1:]) for j, row in basis.items()):
@@ -172,31 +141,15 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of the matrix over the field with p elements."""
-    m = [[index(x) % p for x in row] for row in rows]
-    m = [row for row in m if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        pivot = [(inv * x) % p for x in m[rank]]
-        m[rank] = pivot
-        for i in range(rank + 1, len(m)):
-            factor = m[i][col]
-            if factor:
-                row = m[i]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - factor * pivot[j]) % p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of the matrix over the field with p elements: the number of
+    elementary divisors p does not divide, since the unimodular steps of
+    the Smith reduction stay invertible modulo p."""
+    return sum(1 for d in elementary_divisors(rows) if d % p)
+
+
+def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Elementary divisors greater than 1 (the torsion of the cokernel)."""
+    return [d for d in elementary_divisors(rows) if d > 1]
 
 
 def _sparse_rows(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
@@ -260,36 +213,33 @@ def _unit_pivots(rows: list[dict[int, int]]
     return pivots, [row for row in waiting if row]
 
 
-def torsion_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Elementary divisors greater than 1 (the torsion of the cokernel),
-    read off the Hermite certificate of :func:`elementary_divisors` for the
-    whole matrix."""
-    return [d for d in elementary_divisors(rows) if d > 1]
-
-
 def cokernel(rows: Iterable[Mapping[int, int]], ncols: int
-             ) -> tuple[int, list[int], list[int]]:
+             ) -> tuple[int, list[int], list[int], bool]:
     """One elimination pass over the cokernel ``Z^ncols / rowspan`` of
     sparse rows ``{column: entry}``, which it leaves unchanged.
 
-    Returns (rank of the row span, torsion invariants, free columns).  The
+    Returns (rank of the row span, torsion invariants, free columns, whether
+    the free columns are a Z-basis of the cokernel modulo torsion).  The
     unit pass inserts the rows by ascending largest column, which keeps ring
-    pieces sparse; rank and torsion are its pivots plus
-    :func:`elementary_divisors` of R^T, which has the Smith form of the
-    residual R.  The free columns complement the right-greedy column basis:
-    with columns in a monomial order, the standard monomials.  Each pivot
-    row's largest column is its pivot and R vanishes on the pivots, so the
-    pivot rows and a Hermite basis of R on reversed columns have distinct
-    largest columns, which form that basis.  With R empty, each pivot row
-    writes its pivot column over the free columns, which are thus a Z-basis.
+    pieces sparse; its residual R vanishes on the pivots and is reduced
+    once, to the Hermite basis H of R on reversed columns.  Rank and torsion
+    are the unit pivots plus :func:`elementary_divisors` of H, which spans
+    the lattice R spans.  The free columns complement the right-greedy
+    column basis: with columns in a monomial order, the standard monomials.
+    Each pivot row's largest column is its pivot, so the pivot rows and H
+    have distinct largest columns, which form that basis.  Certificate:
+    adding the free unit vectors to the rows leaves a quotient of order the
+    product of H's pivots (on its pivot columns H is triangular), and the
+    torsion has order the product of the elementary divisors; the free
+    columns are a Z-basis exactly when the two agree, as they do when R is
+    empty.
     """
     pivots, residual = _unit_pivots(sorted(_sparse_rows(rows, ncols), key=max))
     rest = [j for j in range(ncols - 1, -1, -1) if j not in pivots]
-    divisors = elementary_divisors([[r.get(j, 0) for r in residual] for j in rest])
-    rank = len(pivots) + len(divisors)
-    reversed_rows = [[r.get(j, 0) for j in rest] for r in residual]
-    leading = {rest[k] for k in _hermite(reversed_rows)}
+    basis = _hermite([[r.get(j, 0) for j in rest] for r in residual])
+    divisors = elementary_divisors(list(basis.values()))
+    leading = {rest[k] for k in basis}
     free = [j for j in range(ncols) if j not in pivots and j not in leading]
-    if len(free) != ncols - rank:
-        raise ArithmeticError("free columns do not match the rank")
-    return rank, [d for d in divisors if d > 1], free
+    certified = prod(row[k] for k, row in basis.items()) == prod(divisors)
+    return (len(pivots) + len(basis), [d for d in divisors if d > 1], free,
+            certified)

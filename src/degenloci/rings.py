@@ -154,8 +154,8 @@ class GradedTable(Record):
 def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
     """Rank, torsion and a monomial basis of every graded piece of the
     quotient up to the given cohomological degree: the standard monomials
-    of graded revlex, c_1 > ... > c_d, which :func:`cokernel` certifies as a
-    Z-basis of every piece its unit pass leaves no residual on."""
+    of graded revlex, c_1 > ... > c_d.  Raises VerificationError on a piece
+    where :func:`cokernel` cannot certify them as a Z-basis."""
     if up_to_degree < 0:
         raise ValueError("up_to_degree must be nonnegative")
     rows: list[GradedRow] = []
@@ -164,7 +164,10 @@ def graded_table(pres: RingPresentation, up_to_degree: int) -> GradedTable:
             rows.append(GradedRow(p, 0, 0, (), ()))
             continue
         rel_rows, monos = relation_rows(pres, p // 2)
-        ideal_rank, torsion, free = cokernel(rel_rows, len(monos))
+        ideal_rank, torsion, free, certified = cokernel(rel_rows, len(monos))
+        if not certified:
+            raise VerificationError(f"degree {p}: the standard monomials are "
+                                    "not a Z-basis of the free quotient")
         rows.append(GradedRow(p, len(monos), len(monos) - ideal_rank, tuple(torsion),
                               tuple(monos[i] for i in free)))
     return GradedTable(pres.label, dict(pres.params), up_to_degree, rows)

@@ -1,7 +1,7 @@
 """Exact integer elimination against rational-arithmetic oracles."""
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import mul
 
@@ -19,9 +19,10 @@ from degenloci.intlinalg import (
 
 
 def rational_rank(rows):
-    """Gaussian elimination over Fraction; shares nothing with Bareiss."""
+    """(rank, pivot columns) by Gaussian elimination over Fraction; shares
+    nothing with the integer eliminations."""
     m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+    rank, pivots = 0, []
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
@@ -35,7 +36,8 @@ def rational_rank(rows):
                 factor = m[i][col]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
         rank += 1
-    return rank
+        pivots.append(col)
+    return rank, pivots
 
 
 def rational_determinant(rows):
@@ -58,6 +60,28 @@ def rational_determinant(rows):
     return det
 
 
+def minor_gcds(rows):
+    """[D_1, .., D_rank], D_k the gcd of the k x k minors; the k-th
+    elementary divisor is D_k / D_(k-1) (Smith, 1861).  Stdlib only, meant
+    for matrices up to 5 x 5."""
+    out = []
+    for k in range(1, min(len(rows), len(rows[0]) if rows else 0) + 1):
+        g = 0
+        for picked in combinations(rows, k):
+            for cols in combinations(range(len(rows[0])), k):
+                minor = rational_determinant([[row[j] for j in cols] for row in picked])
+                g = gcd(g, int(minor))
+        if not g:
+            break
+        out.append(g)
+    return out
+
+
+def divisors_from_minors(rows):
+    gcds = minor_gcds(rows)
+    return [b // a for a, b in zip([1] + gcds, gcds)]
+
+
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
         st.lists(st.integers(min_value=-9, max_value=9),
@@ -73,7 +97,8 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 
 @given(matrices)
 def test_rank_matches_rational_elimination(rows):
-    assert integer_rank(rows) == rational_rank(rows)
+    assert fraction_free_echelon(rows) == rational_rank(rows)
+    assert integer_rank(rows) == rational_rank(rows)[0]
 
 
 @given(matrices)
@@ -94,11 +119,17 @@ def test_rank_of_trivial_matrices():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         integer_rank([[1, 2], [3]])
+    # a short zero row is ragged for every dense routine
+    with pytest.raises(ValueError):
+        integer_rank([[1, 2], [0]])
+    with pytest.raises(ValueError):
+        fraction_free_echelon([[0, 0], []])
+    with pytest.raises(ValueError):
+        rank_mod_prime([[1, 2], [0]], 3)
     with pytest.raises(ValueError):
         elementary_divisors([[1], [2, 3]])
     with pytest.raises(ValueError):
         torsion_invariants([[1, 2], [3]])
-    # a short zero row is ragged too
     with pytest.raises(ValueError):
         elementary_divisors([[1, 2], [0]])
     with pytest.raises(ValueError):
@@ -119,14 +150,30 @@ def test_cokernel_rejects_columns_outside_the_range():
         )
     )
 )
-def test_last_bareiss_pivot_is_the_determinant(rows):
+def test_hermite_pivots_multiply_to_the_determinant(rows):
+    # a nonsingular Hermite basis is triangular, and its 2x2 steps have
+    # determinant 1
     det = rational_determinant(rows)
     if det:
-        from degenloci.intlinalg import _echelon
+        from degenloci.intlinalg import _hermite
 
-        rank, _, last = _echelon(rows)
-        assert rank == len(rows)
-        assert abs(last) == abs(det)
+        basis = _hermite([list(row) for row in rows])
+        assert sorted(basis) == list(range(len(rows)))
+        assert prod(row[j] for j, row in basis.items()) == abs(det)
+
+
+@given(matrices)
+def test_hermite_basis_is_reduced_and_spans_the_rows(rows):
+    from degenloci.intlinalg import _hermite
+
+    basis = _hermite([list(row) for row in rows])
+    for k, row in basis.items():
+        assert not any(row[:k]) and row[k] > 0
+        assert all(0 <= other[k] < row[k] for j, other in basis.items() if j < k)
+    # over Q the basis spans every row and has the rank of the rows
+    assert rational_rank(list(basis.values()))[0] == len(basis) == rational_rank(rows)[0]
+    for row in rows:
+        assert rational_rank(list(basis.values()) + [row])[0] == len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +192,7 @@ def test_elementary_divisors_known_cases():
 @given(matrices)
 def test_divisor_chain_and_rank(rows):
     divisors = elementary_divisors(rows)
-    assert len(divisors) == rational_rank(rows)
+    assert len(divisors) == rational_rank(rows)[0]
     for a, b in zip(divisors, divisors[1:]):
         assert b % a == 0
     assert all(d > 0 for d in divisors)
@@ -235,11 +282,18 @@ def test_torsion_with_redundant_rows():
     assert torsion_invariants(base + [[-2, -4], [8, 12]]) == [2, 4]
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_elementary_divisors_match_minor_gcds(rows):
+    assert elementary_divisors(rows) == divisors_from_minors(rows)
+
+
+@settings(max_examples=100, deadline=None)
 @given(matrices, st.sampled_from([2, 3, 5, 7]))
-def test_rank_mod_prime_matches_divisor_count(rows, p):
-    divisors = elementary_divisors(rows)
-    expected = sum(1 for d in divisors if d % p != 0)
-    assert rank_mod_prime(rows, p) == expected
+def test_rank_mod_prime_matches_minors(rows, p):
+    # the largest k with a k x k minor nonzero mod p, that is, with D_k not
+    # divisible by p; D_k divides D_(k+1), so those k form a prefix
+    assert rank_mod_prime(rows, p) == sum(1 for g in minor_gcds(rows) if g % p)
 
 
 def test_rank_mod_prime_known_cases():
@@ -259,7 +313,7 @@ def test_large_entries_stay_exact():
 
 
 # ---------------------------------------------------------------------------
-# the unit-pivot cokernel pass against the dense reference routines
+# the unit-pivot cokernel pass against rational, minor and sympy oracles
 
 
 def _sparse(rows):
@@ -268,28 +322,29 @@ def _sparse(rows):
     return [dict(enumerate(row)) for row in rows]
 
 
-def _matrices_over(entries):
-    return st.integers(min_value=1, max_value=6).flatmap(
+def _matrices_over(entries, size):
+    return st.integers(min_value=1, max_value=size).flatmap(
         lambda ncols: st.lists(
             st.lists(st.sampled_from(entries), min_size=ncols, max_size=ncols),
-            min_size=0, max_size=6,
+            min_size=0, max_size=size,
         ).map(lambda rows: (rows, ncols))
     )
 
 
-# units everywhere, units sparse among larger entries, and no unit at all
-# (then the whole matrix is the residual)
-cokernel_matrices = st.one_of(
-    _matrices_over([-1, 0, 0, 1]),
-    _matrices_over(list(range(-9, 10))),
-    _matrices_over([0, 0, 2, -2, 3, -4, 6]),
-)
+def _cokernel_matrices(size):
+    # units everywhere, units sparse among larger entries, and no unit at
+    # all (then the whole matrix is the residual)
+    return st.one_of(*(_matrices_over(entries, size) for entries in (
+        [-1, 0, 0, 1], list(range(-9, 10)), [0, 0, 2, -2, 3, -4, 6])))
+
+
+cokernel_matrices = _cokernel_matrices(6)
 
 
 def _free_columns(rows, ncols):
     """The complement of the right-greedy column basis: the non-pivot columns
-    of Bareiss elimination run on the columns reversed."""
-    _, pivots = fraction_free_echelon([row[::-1] for row in rows])
+    of rational elimination run on the columns reversed."""
+    _, pivots = rational_rank([row[::-1] for row in rows])
     return [j for j in range(ncols) if ncols - 1 - j not in pivots]
 
 
@@ -308,8 +363,8 @@ def test_cokernel_matches_echelon_and_smith(case, stacked):
     rows, ncols = case
     if stacked:
         rows = _with_stacked_rows(rows)
-    rank, torsion, free = cokernel(_sparse(rows), ncols)
-    assert rank == integer_rank(rows)
+    rank, torsion, free, _ = cokernel(_sparse(rows), ncols)
+    assert rank == rational_rank(rows)[0]
     assert free == _free_columns(rows, ncols)
     divisors = elementary_divisors(rows)
     assert torsion == [d for d in divisors if d > 1]
@@ -317,19 +372,36 @@ def test_cokernel_matches_echelon_and_smith(case, stacked):
 
 
 @settings(max_examples=100, deadline=None)  # the first example imports sympy
-@given(cokernel_matrices)
-def test_cokernel_matches_sympy_smith_form(case):
+@given(cokernel_matrices, st.booleans())
+def test_cokernel_matches_sympy_smith_form(case, stacked):
     normalforms = pytest.importorskip("sympy.matrices.normalforms")
     from sympy import Matrix, ZZ
 
     rows, ncols = case
     if not rows:
         return
+    if stacked:
+        rows = _with_stacked_rows(rows)
     snf = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(len(rows), ncols)) if snf[i, i]]
-    rank, torsion, _ = cokernel(_sparse(rows), ncols)
+    rank, torsion, _, _ = cokernel(_sparse(rows), ncols)
     assert rank == len(diagonal)
     assert torsion == [d for d in diagonal if d > 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cokernel_matrices(5))
+def test_cokernel_matches_minor_gcds(case):
+    rows, ncols = case
+    rank, torsion, free, certified = cokernel(_sparse(rows), ncols)
+    divisors = divisors_from_minors(rows)
+    assert rank == len(divisors)
+    assert torsion == [d for d in divisors if d > 1]
+    # the rows and the free unit vectors have full rank; their maximal
+    # minors have gcd the order of the quotient they leave, which is the
+    # order of the torsion exactly when the free columns are a Z-basis
+    stacked = rows + [[int(j == f) for j in range(ncols)] for f in free]
+    assert certified == (minor_gcds(stacked)[ncols - 1] == prod(divisors))
 
 
 @settings(max_examples=300)
@@ -358,30 +430,38 @@ def test_unit_pass_leaves_no_unit(case, stacked):
     assert not any(set(row) & set(pivots) for row in residual)
     assert all(row and row[max(row)] not in (1, -1) for row in residual)
     dense = [[row.get(j, 0) for j in range(ncols)] for row in residual]
-    assert len(pivots) + integer_rank(dense) == integer_rank(rows)
+    assert len(pivots) + rational_rank(dense)[0] == rational_rank(rows)[0]
 
 
 def test_cokernel_known_cases():
-    assert cokernel(_sparse([[2, 0], [0, 3]]), 2) == (2, [6], [])
-    assert cokernel(_sparse([[2, 4], [6, 8], [-2, -4], [8, 12]]), 2) == (2, [2, 4], [])
+    assert cokernel(_sparse([[2, 0], [0, 3]]), 2) == (2, [6], [], True)
+    assert cokernel(_sparse([[2, 4], [6, 8], [-2, -4], [8, 12]]), 2) == (
+        2, [2, 4], [], True)
     # with a residual the free columns need not span over Z: modulo
-    # torsion, column 0 is -2 times column 1
-    assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [0, 2])
-    assert cokernel([], 3) == (0, [], [0, 1, 2])
-    assert cokernel(_sparse([[0, 0]]), 2) == (0, [], [0, 1])
+    # torsion, column 0 is -2 times column 1, so columns 0 and 2 span an
+    # index-2 sublattice (the pivot 4 against the divisor 2)
+    assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [0, 2], False)
+    assert cokernel([{0: 2, 1: 4}], 3) == (1, [2], [0, 2], False)
+    # the residual's pivot 2 is its divisor: column 1 spans the free part
+    assert cokernel(_sparse([[2, 0]]), 2) == (1, [2], [1], True)
+    assert cokernel([], 3) == (0, [], [0, 1, 2], True)
+    assert cokernel(_sparse([[0, 0]]), 2) == (0, [], [0, 1], True)
     # each pivot row writes its pivot column over column 0
-    assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [0])
+    assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [0], True)
     # no unit at all: the residual's Hermite basis, columns reversed, leads
     # at columns 2 and 1
-    assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [0])
+    assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [0], True)
     # units only left of a larger entry: every row waits, and the residual
-    # leads at columns 3 and 0, then 2 and 1
-    assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (2, [2], [1, 2])
-    assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (2, [2], [0, 3])
+    # leads at columns 3 and 0, then 2 and 1; modulo torsion column 2 is
+    # -2 times column 3, and column 0 is 6 times column 2
+    assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (
+        2, [2], [1, 2], False)
+    assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (
+        2, [2], [0, 3], False)
     # a unit pivot at column 2 beside a residual at column 1
-    assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [0])
-    assert cokernel([], 0) == (0, [], [])
-    # every case agrees with Bareiss elimination on reversed columns
+    assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [0], True)
+    assert cokernel([], 0) == (0, [], [], True)
+    # every case agrees with rational elimination on reversed columns
     cases = [([[2, 4, 0]], 3), ([[1, 1, 0], [0, 1, 1]], 3),
              ([[2, 4, 6], [4, 2, 0]], 3), ([[1, 0, 2, 4], [0, 0, 2, 4]], 4),
              ([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]], 4),
@@ -394,7 +474,7 @@ def test_cokernel_leaves_its_input_unchanged():
     # the unit pass reduces the second row to {0: 1} and clears column 0
     # from the first, and the zero entry is dropped, all on copies
     rows = [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]
-    assert cokernel(rows, 3) == (2, [], [2])
+    assert cokernel(rows, 3) == (2, [], [2], True)
     assert rows == [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]
     assert list(rows[0]) == [0, 1, 2]
 

@@ -233,7 +233,8 @@ def test_grassmannian_5_11_largest_pieces_are_frozen(q, frozen):
     from degenloci.intlinalg import _sparse_rows, _unit_pivots, cokernel
 
     rows, monos = relation_rows(grassmannian_presentation(5, 11), q)
-    assert cokernel(rows, len(monos)) == frozen
+    # no residual, so the free columns are certified
+    assert cokernel(rows, len(monos)) == (*frozen, True)
     assert len(monos) - frozen[0] == count_in_box(q, 6, 5)
     assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1]
 
@@ -279,6 +280,17 @@ def test_basis_is_integral_on_small_windows():
             rows += [{column[m]: 1} for m in table.rows[2 * q].basis]
             dense = [[row.get(j, 0) for j in range(len(monos))] for row in rows]
             assert elementary_divisors(dense) == [1] * len(monos), (pres, q)
+
+
+def test_graded_table_refuses_an_uncertified_basis():
+    # in degree 4, Z{c1^2, c2} / (2 c1^2 + 3 c2) is free on a generator g
+    # with c1^2 = 3g and c2 = -2g, so the standard monomial c2 spans only an
+    # index-2 sublattice; lower degrees leave no residual
+    c1, c2 = cgen(1), cgen(2)
+    pres = RingPresentation("test", (), 2, (2 * c1 ** 2 + 3 * c2,))
+    assert graded_table(pres, 2).rows[2].basis == ((("c1", 1),),)
+    with pytest.raises(VerificationError, match="degree 4"):
+        graded_table(pres, 4)
 
 
 # ---------------------------------------------------------------------------
