@@ -33,8 +33,6 @@ class ResultCache:
 
     def __init__(self, directory: Optional[os.PathLike | str]):
         self.directory = Path(directory) if directory not in (None, "") else None
-        self.hits = 0
-        self.misses = 0
 
     @classmethod
     def from_environment(cls, override: Optional[str] = None) -> "ResultCache":
@@ -75,9 +73,7 @@ class ResultCache:
         except (OSError, ValueError, RecursionError):
             payload = None
         if not isinstance(payload, dict) or not accept(payload):
-            self.misses += 1
             return None
-        self.hits += 1
         return payload
 
     def store(self, key: Optional[str], payload: dict) -> None:

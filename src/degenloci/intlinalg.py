@@ -1,32 +1,31 @@
 """Exact linear algebra over the integers.
 
 Graded ring tables need, per graded piece, the rank of a relation matrix A,
-the torsion of its cokernel and a monomial basis of the quotient.  Two
-eliminations serve every routine here.  :func:`_unit_pivots` is a sparse
-pass that inserts the rows one at a time and pivots a row on its largest
-column when that entry is +-1 (after Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 32, 2001).  Every operation of that pass is unimodular, so with k
-unit pivots
+the torsion of its cokernel and a monomial basis of the quotient.  One
+elimination serves every routine here: :func:`_hermite`, a reduced Hermite
+reduction by unimodular 2x2 extended-gcd steps (after Kannan and Bachem,
+SIAM J. Comput. 8, 1979), run sparse over rows ``{column: entry}`` in the
+way Dumas, Saunders and Villard ("On efficient sparse integer matrix Smith
+normal form computations", J. Symbolic Comput. 32, 2001) run their unit
+pivots.  Each pivot is its row's largest column, made positive, and a
+pivot 1 is cleared from every other row, so with k unit pivots the
+other ("wide") pivot rows vanish on every unit pivot column and
 
-    Smith(A) = I_k + Smith(residual).
+    Smith(A) = I_k + Smith(wide rows).
 
-:func:`_hermite` is a reduced Hermite reduction by unimodular 2x2
-extended-gcd steps (after Kannan and Bachem, SIAM J. Comput. 8, 1979, and
-Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  The dense routines
-are readings of it: rank and pivot columns (:func:`fraction_free_echelon`,
-:func:`integer_rank`), the Smith form of a basis reduced until diagonal
-(:func:`elementary_divisors`), and from that the torsion and the rank
-modulo a prime.  :func:`cokernel` runs the unit pass and reduces its
-residual once; that one Hermite basis gives the torsion, the monomial
-basis (the columns that are neither unit pivots nor its pivots read from
-the right) and a certificate that this basis is a Z-basis: the product of
-its pivots equals that of the elementary divisors.  An empty residual
-certifies both a free cokernel and the basis.  :func:`cokernel` reads
-sparse rows ``{column: entry}``, the format
-:func:`degenloci.rings.relation_rows` builds; the other routines read
-dense lists of rows.  Entries are read with ``operator.index`` (a float or
-a string raises TypeError); everything stays in exact arithmetic.
+:func:`cokernel` reads everything off one such basis: the rank, the
+torsion (the Smith form of the wide rows), the monomial basis (the
+columns that are not pivots) and a certificate that this basis is a
+Z-basis: the product of the wide pivots equals that of the elementary
+divisors.  The dense routines are readings of the same elimination run on
+reversed columns: rank and pivot columns (:func:`fraction_free_echelon`,
+:func:`integer_rank`), the Smith form of a basis transposed and reduced
+again until it is diagonal (:func:`elementary_divisors`), and from that
+the torsion and the rank modulo a prime.  :func:`cokernel` reads sparse
+rows ``{column: entry}``, the format :func:`degenloci.rings.relation_rows`
+builds; the other routines read dense lists of rows.  Entries are read
+with ``operator.index`` (a float or a string raises TypeError); everything
+stays in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -46,71 +45,135 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y if b > 0 else -y
 
 
-def _reduce(basis: dict[int, list[int]]) -> None:
-    """Reduce every entry in a pivot column modulo that column's pivot,
-    bottom row first, by subtracting multiples of the rows below."""
-    cols = sorted(basis)
-    for n in range(len(cols) - 2, -1, -1):
-        row = basis[cols[n]]
-        for k in cols[n + 1:]:
-            f = row[k] // basis[k][k]
-            if f:
-                row = [u - f * v for u, v in zip(row, basis[k])]
-        basis[cols[n]] = row
+def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> None:
+    """``target -= factor * source`` in place, dropping entries that cancel;
+    ``factor`` is nonzero."""
+    for j, v in source.items():
+        w = target.get(j, 0) - factor * v
+        if w:
+            target[j] = w
+        else:
+            del target[j]
 
 
-def _hermite(rows: list[list[int]]) -> dict[int, list[int]]:
-    """Reduced row Hermite basis of the row span, keyed by pivot column.
+def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """``a * u + b * v`` as a new sparse row without zero entries."""
+    out = {j: a * u.get(j, 0) + b * v.get(j, 0) for j in u.keys() | v.keys()}
+    return {j: w for j, w in out.items() if w}
 
-    Rows are inserted one at a time.  Where a row meets the basis row of its
-    leading column, a 2x2 extended-gcd step of determinant 1 gives the basis
-    row the positive gcd and clears that column of the inserted row.
-    Whenever a pivot changes the basis is reduced again, which is what keeps
-    the entries small.
+
+def _floor(row: dict[int, int], wide: dict[int, dict[int, int]], below: int) -> None:
+    """Reduce the row's entries at the wide pivot columns left of ``below``
+    modulo their pivots, largest column first: a pivot row holds no column
+    right of its pivot and no unit pivot column, so one pass suffices."""
+    for c in sorted((c for c in wide if c < below), reverse=True):
+        f = row.get(c, 0) // wide[c][c]
+        if f:
+            _subtract(row, f, wide[c])
+
+
+def _hermite(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced Hermite basis of the span of sparse rows without zero
+    entries, keyed by pivot column; the rows are consumed.
+
+    Each pivot is its row's largest column and is positive; every other
+    entry in a pivot column lies in [0, pivot), so a pivot 1 is the only
+    entry of its column.  Rows are inserted one at a time.  An inserted row
+    is cleared of the unit pivot columns it holds (the pivot rows hold no
+    other unit pivot column, so one pass suffices), then reduced modulo
+    the wide pivots.  Then its largest column either takes a new pivot or
+    meets a wide pivot, where a 2x2 extended-gcd step of determinant 1
+    gives the pivot row the positive gcd and leaves the rest of the row to
+    insert.  Each pivot that is set is reduced out of the other rows, so a
+    +-1 pivot costs one sparse subtraction per row that holds its column.
     """
-    basis: dict[int, list[int]] = {}
+    units: dict[int, dict[int, int]] = {}
+    wide: dict[int, dict[int, int]] = {}
     for row in rows:
-        for j in range(len(row)):
-            b = row[j]
-            if not b:
-                continue
-            piv = basis.get(j)
+        for c in [c for c in row if c in units]:
+            _subtract(row, row[c], units[c])
+        while row:
+            if wide:
+                _floor(row, wide, max(row) + 1)
+                if not row:
+                    break
+            c = max(row)
+            piv = wide.pop(c, None)
             if piv is None:
-                basis[j] = row if b > 0 else [-v for v in row]
-                _reduce(basis)
-                break
-            g, x, y = _xgcd(piv[j], b)
-            s, t = piv[j] // g, b // g
-            if s != 1:
-                basis[j] = [x * v + y * u for v, u in zip(piv, row)]
-                _reduce(basis)
-            row = [s * u - t * v for u, v in zip(row, piv)]
-    return basis
+                pivot, row = row, None
+            else:
+                g, x, y = _xgcd(piv[c], row[c])
+                pivot = _combine(x, piv, y, row)
+                row = _combine(piv[c] // g, row, -(row[c] // g), piv)
+            if pivot[c] < 0:
+                pivot = {j: -v for j, v in pivot.items()}
+            if wide:
+                _floor(pivot, wide, c)
+            p = pivot[c]
+            for basis in (units, wide):
+                for other in basis.values():
+                    if c in other:
+                        f = other[c] // p
+                        if f:
+                            _subtract(other, f, pivot)
+                            if wide:
+                                _floor(other, wide, c)
+            (units if p == 1 else wide)[c] = pivot
+    return {**units, **wide}
 
 
-def _dense(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Copies of dense rows read with ``operator.index``; raises ValueError
-    on rows of different lengths."""
+def _smith(rows: Iterable[dict[int, int]]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of sparse rows without
+    zero entries, divisibility-ordered; the rows are consumed.
+
+    The Hermite basis is transposed, keyed by the order of its pivot
+    columns, and reduced again until it is diagonal; it comes from the rows
+    by unimodular row and column steps only, so both have the same Smith
+    form.  Pairwise gcd and lcm then put the diagonal in divisibility
+    order.
+    """
+    basis = _hermite(rows)
+    while any(len(row) > 1 for row in basis.values()):
+        columns: dict[int, dict[int, int]] = {}
+        for k, c in enumerate(sorted(basis)):
+            for j, v in basis[c].items():
+                columns.setdefault(j, {})[k] = v
+        basis = _hermite(columns.values())
+    divisors = [row[c] for c, row in sorted(basis.items())]
+    for i in range(len(divisors)):
+        for k in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[k])
+            divisors[i], divisors[k] = g, divisors[i] // g * divisors[k]
+    if any(b % a for a, b in zip(divisors, divisors[1:])):
+        raise ArithmeticError("Smith reduction produced a broken chain")
+    return divisors
+
+
+def _dense(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """Dense rows read with ``operator.index`` as sparse rows on reversed
+    columns, column j at key -j, so that a pivot is a row's leftmost
+    column; raises ValueError on rows of different lengths."""
     m = [list(map(index, row)) for row in rows]
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
-    return m
+    return [{-j: v for j, v in enumerate(row) if v} for row in m]
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """(rank, pivot column indices) of the reduced Hermite basis.
+    """(rank, pivot column indices) of the Hermite basis on reversed
+    columns.
 
-    The pivots of any echelon form of the row span are its left-greedy
-    column basis, so they are the pivots fraction-free (Bareiss) elimination
-    returns; on reversed columns they are the right-greedy basis, whose
-    complement :func:`cokernel` reports.
+    Each pivot is then its row's leftmost column, and the pivots of any
+    echelon form of the row span are its left-greedy column basis, so they
+    are the pivots of fraction-free elimination; on reversed columns they
+    are the right-greedy basis, whose complement :func:`cokernel` reports.
     """
     basis = _hermite(_dense(rows))
-    return len(basis), sorted(basis)
+    return len(basis), sorted(-c for c in basis)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the length of the reduced Hermite basis."""
+    """Rank over the rationals: the length of the Hermite basis."""
     return fraction_free_echelon(rows)[0]
 
 
@@ -119,25 +182,11 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
 
     The length of the result is the rank; entries greater than 1 are the
     torsion invariants of the cokernel ``Z^ncols / rowspan``.  Certificate:
-    the reduced Hermite basis of the rows, transposed and reduced again
-    until it is diagonal, comes from A by unimodular row and column steps
-    only, so A and the diagonal have the same Smith form; pairwise gcd and
-    lcm then put the diagonal in divisibility order.
+    the Hermite basis of the rows, transposed and reduced again until it is
+    diagonal, comes from A by unimodular row and column steps only, so A
+    and the diagonal have the same Smith form.
     """
-    m = _dense(rows)
-    while True:
-        basis = _hermite(m)
-        if all(not any(row[j + 1:]) for j, row in basis.items()):
-            break
-        m = [list(col) for col in zip(*(basis[j] for j in sorted(basis)))]
-    divisors = [row[j] for j, row in sorted(basis.items())]
-    for i in range(len(divisors)):
-        for k in range(i + 1, len(divisors)):
-            g = gcd(divisors[i], divisors[k])
-            divisors[i], divisors[k] = g, divisors[i] // g * divisors[k]
-    if any(b % a for a, b in zip(divisors, divisors[1:])):
-        raise ArithmeticError("Smith reduction produced a broken chain")
-    return divisors
+    return _smith(_dense(rows))
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -167,79 +216,28 @@ def _sparse_rows(rows: Iterable[Mapping[int, int]], ncols: int) -> list[dict[int
     return out
 
 
-def _subtract(target: dict[int, int], factor: int, source: dict[int, int]) -> None:
-    """``target -= factor * source`` in place, dropping entries that cancel."""
-    for j, v in source.items():
-        w = target.get(j, 0) - factor * v
-        if w:
-            target[j] = w
-        else:
-            del target[j]
-
-
-def _unit_pivots(rows: list[dict[int, int]]
-                 ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
-    """Gauss-Jordan elimination on the +-1 entries at rows' largest columns.
-
-    Inserts the rows one at a time.  Each row is cleared of the pivot
-    columns it holds (the pivot rows are reduced, so one pass suffices);
-    if the entry at its largest column is then +-1, the row is scaled to +1
-    there and that column is cleared from the earlier pivot rows, which
-    gain entries only left of their own pivots.  Otherwise the row waits,
-    and the waiting rows are inserted again while the last pass added a
-    pivot.  Returns the pivot rows keyed by pivot column, each +1 there and
-    0 right of it and in every other pivot column, and the residual rows,
-    which vanish in all pivot columns.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    waiting, added = rows, True
-    while added:
-        rows, waiting, added = waiting, [], False
-        for row in rows:
-            for c in [c for c in row if c in pivots]:
-                _subtract(row, row[c], pivots[c])
-            col = max(row, default=None)
-            if col is None or row[col] not in (1, -1):
-                waiting.append(row)
-                continue
-            if row[col] < 0:
-                for j in row:
-                    row[j] = -row[j]
-            for other in pivots.values():
-                if col in other:
-                    _subtract(other, other[col], row)
-            pivots[col] = row
-            added = True
-    return pivots, [row for row in waiting if row]
-
-
 def cokernel(rows: Iterable[Mapping[int, int]], ncols: int
              ) -> tuple[int, list[int], list[int], bool]:
-    """One elimination pass over the cokernel ``Z^ncols / rowspan`` of
-    sparse rows ``{column: entry}``, which it leaves unchanged.
+    """One Hermite basis of the cokernel ``Z^ncols / rowspan`` of sparse
+    rows ``{column: entry}``, which it leaves unchanged.
 
     Returns (rank of the row span, torsion invariants, free columns, whether
     the free columns are a Z-basis of the cokernel modulo torsion).  The
-    unit pass inserts the rows by ascending largest column, which keeps ring
-    pieces sparse; its residual R vanishes on the pivots and is reduced
-    once, to the Hermite basis H of R on reversed columns.  Rank and torsion
-    are the unit pivots plus :func:`elementary_divisors` of H, which spans
-    the lattice R spans.  The free columns complement the right-greedy
-    column basis: with columns in a monomial order, the standard monomials.
-    Each pivot row's largest column is its pivot, so the pivot rows and H
-    have distinct largest columns, which form that basis.  Certificate:
-    adding the free unit vectors to the rows leaves a quotient of order the
-    product of H's pivots (on its pivot columns H is triangular), and the
-    torsion has order the product of the elementary divisors; the free
-    columns are a Z-basis exactly when the two agree, as they do when R is
-    empty.
+    rows are inserted by ascending largest column, which keeps ring pieces
+    sparse.  The rank is the number of pivots.  The wide pivot rows vanish
+    on every unit pivot column, so the torsion is the Smith form of those
+    rows.  The free columns are the columns that are not pivots: each pivot
+    is its row's largest column, so the pivots are the right-greedy column
+    basis and, with columns in a monomial order, the free columns are the
+    standard monomials.  Certificate: adding the free unit vectors to the
+    rows leaves a quotient of order the product of the pivots (on the
+    pivot columns the basis is triangular), and the torsion has order the
+    product of the elementary divisors; the free columns are a Z-basis
+    exactly when the two agree, as they do when every pivot is 1.
     """
-    pivots, residual = _unit_pivots(sorted(_sparse_rows(rows, ncols), key=max))
-    rest = [j for j in range(ncols - 1, -1, -1) if j not in pivots]
-    basis = _hermite([[r.get(j, 0) for j in rest] for r in residual])
-    divisors = elementary_divisors(list(basis.values()))
-    leading = {rest[k] for k in basis}
-    free = [j for j in range(ncols) if j not in pivots and j not in leading]
-    certified = prod(row[k] for k, row in basis.items()) == prod(divisors)
-    return (len(pivots) + len(basis), [d for d in divisors if d > 1], free,
-            certified)
+    basis = _hermite(sorted(_sparse_rows(rows, ncols), key=max))
+    pivots = prod(row[c] for c, row in basis.items())
+    divisors = _smith([row for c, row in basis.items() if row[c] > 1])
+    free = [j for j in range(ncols) if j not in basis]
+    return (len(basis), [d for d in divisors if d > 1], free,
+            pivots == prod(divisors))

@@ -330,17 +330,19 @@ _CORRUPTIONS = {
 }
 
 
-def _capture_caches(monkeypatch) -> list:
-    """Record every cache a CLI run builds, to read its hit counters."""
-    caches = []
-    build = ResultCache.from_environment
+def _capture_loads(monkeypatch) -> list:
+    """Record, for every cache load of the CLI runs that follow, whether it
+    hit."""
+    loads = []
+    load = ResultCache.load
 
-    def capture(override=None):
-        caches.append(build(override))
-        return caches[-1]
+    def capture(cache, *args):
+        payload = load(cache, *args)
+        loads.append(payload is not None)
+        return payload
 
-    monkeypatch.setattr(ResultCache, "from_environment", capture)
-    return caches
+    monkeypatch.setattr(ResultCache, "load", capture)
+    return loads
 
 
 @pytest.mark.parametrize("argv, corrupt", _CORRUPTIONS.values(),
@@ -353,20 +355,20 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
     [path] = tmp_path.glob("*.json")
     corrupted = corrupt(json.loads(cold))
     path.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
-    caches = _capture_caches(monkeypatch)
+    loads = _capture_loads(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out, err) == (0, cold, "")
-    assert (caches[-1].hits, caches[-1].misses) == (0, 1)
+    assert loads == [False]
     assert json.loads(path.read_text()) == json.loads(cold)
 
 
 def test_valid_cache_entry_counts_one_hit(capsys, tmp_path, monkeypatch):
     argv = _COUNT + ("--format", "json", "--cache-dir", str(tmp_path))
-    caches = _capture_caches(monkeypatch)
+    loads = _capture_loads(monkeypatch)
     _, cold, _ = run_cli(capsys, *argv)
     code, warm, _ = run_cli(capsys, *argv)
     assert (code, warm) == (0, cold)
-    assert [(c.hits, c.misses) for c in caches] == [(0, 1), (1, 0)]
+    assert loads == [False, True]
 
 
 def test_unwritable_cache_dir_runs_uncached(capsys, tmp_path):
@@ -485,9 +487,9 @@ def test_cached_run_keeps_its_cache_file_name(capsys, tmp_path, monkeypatch):
     assert path.name == ("b8ebef098aae99c3fef5dde18d4fcd548b45ab12b88ea586"
                          "3be7517a0228ea3c.json")
     assert _probe_modules(*argv)[1] == set()  # a replay runs no calculator
-    caches = _capture_caches(monkeypatch)
+    loads = _capture_loads(monkeypatch)
     assert run_cli(capsys, *argv)[0] == 0
-    assert (caches[0].hits, caches[0].misses) == (1, 0)
+    assert loads == [True]
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -155,25 +155,43 @@ def test_hermite_pivots_multiply_to_the_determinant(rows):
     # determinant 1
     det = rational_determinant(rows)
     if det:
-        from degenloci.intlinalg import _hermite
+        from degenloci.intlinalg import _hermite, _sparse_rows
 
-        basis = _hermite([list(row) for row in rows])
+        basis = _hermite(_sparse_rows(_sparse(rows), len(rows)))
         assert sorted(basis) == list(range(len(rows)))
         assert prod(row[j] for j, row in basis.items()) == abs(det)
 
 
+@settings(deadline=None)
 @given(matrices)
+# the second row takes the pivot -1 at column 1, so its sign is made
+# positive before its entry at the wide column 0 is reduced
+@example([[-3, 0], [-1, -1]])
+# the third row meets the wide pivot 5 at column 1 with gcd 1, and the new
+# unit pivot row is reduced modulo the wide pivot 3 at column 0
+@example([[-3, 0], [1, 5], [1, -1]])
+# the third row sets the wide pivot 5 at column 1; reducing it out of the
+# row of column 2 leaves that row 4 at the wide column 0, reduced again
+@example([[-4, 0, 0], [-2, 3, -2], [2, -5, 0]])
 def test_hermite_basis_is_reduced_and_spans_the_rows(rows):
-    from degenloci.intlinalg import _hermite
+    from degenloci.intlinalg import _hermite, _sparse_rows
 
-    basis = _hermite([list(row) for row in rows])
+    ncols = len(rows[0])
+    basis = _hermite(_sparse_rows(_sparse(rows), ncols))
+    units = {k for k, row in basis.items() if row[k] == 1}
     for k, row in basis.items():
-        assert not any(row[:k]) and row[k] > 0
-        assert all(0 <= other[k] < row[k] for j, other in basis.items() if j < k)
-    # over Q the basis spans every row and has the rank of the rows
-    assert rational_rank(list(basis.values()))[0] == len(basis) == rational_rank(rows)[0]
-    for row in rows:
-        assert rational_rank(list(basis.values()) + [row])[0] == len(basis)
+        # each pivot is its row's largest column and is positive, every
+        # other entry of its column lies in [0, pivot), and so no row holds
+        # another row's unit pivot column
+        assert max(row) == k and row[k] > 0
+        assert all(0 <= other.get(k, 0) < row[k] for j, other in basis.items() if j != k)
+        assert not set(row) & (units - {k})
+    # the same lattice: the rows and the basis each span a sublattice of
+    # the two stacked, and a sublattice of equal rank whose maximal minors
+    # have the same gcd is the whole lattice; the basis rows are independent
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in basis.values()]
+    assert minor_gcds(rows) == minor_gcds(rows + dense) == minor_gcds(dense)
+    assert len(basis) == len(minor_gcds(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +205,16 @@ def test_elementary_divisors_known_cases():
     assert elementary_divisors([[1, 0], [0, 1]]) == [1, 1]
     assert elementary_divisors([[0, 0]]) == []
     assert elementary_divisors([]) == []
+
+
+def test_smith_transposes_by_pivot_column():
+    # the transposed basis must number its columns by the order of the
+    # pivot columns: numbered by the order the pivots were set, the
+    # reduction of this matrix never becomes diagonal
+    rows = [[-3, 0, -6, 1, -1], [3, 2, -3, 2, 0], [1, -1, 0, -1, -6],
+            [2, 2, 3, 6, 3], [-1, 1, 3, -6, 6]]
+    assert elementary_divisors(rows) == [1, 1, 1, 1, 1887]
+    assert abs(rational_determinant(rows)) == 1887
 
 
 @given(matrices)
@@ -313,7 +341,7 @@ def test_large_entries_stay_exact():
 
 
 # ---------------------------------------------------------------------------
-# the unit-pivot cokernel pass against rational, minor and sympy oracles
+# the cokernel's Hermite basis against rational, minor and sympy oracles
 
 
 def _sparse(rows):
@@ -333,7 +361,7 @@ def _matrices_over(entries, size):
 
 def _cokernel_matrices(size):
     # units everywhere, units sparse among larger entries, and no unit at
-    # all (then the whole matrix is the residual)
+    # all (then every pivot starts wide)
     return st.one_of(*(_matrices_over(entries, size) for entries in (
         [-1, 0, 0, 1], list(range(-9, 10)), [0, 0, 2, -2, 3, -4, 6])))
 
@@ -406,59 +434,61 @@ def test_cokernel_matches_minor_gcds(case):
 
 @settings(max_examples=300)
 @given(cokernel_matrices, st.booleans())
-# both rows hold a unit, but neither at its largest column, so both wait
-# and the whole matrix is the residual
+# both rows hold a unit, but neither at its largest column, so both take
+# wide pivots before an extended-gcd step turns them into units
 @example(([[0, 1, 2], [2, 1, 3]], 3), False)
 # clearing the pivot of column 2 from the second row leaves -1 at its new
 # largest column 1, which only the reduced row shows
 @example(([[0, 1, 1], [2, 3, 4]], 3), False)
-# the first row has no unit at its largest column until the second row's
-# pivot clears column 1, so it waits for the next pass
+# the first row takes the wide pivot 3 at column 1, which the second row
+# meets with gcd 1: both pivots end up units
 @example(([[2, 3], [1, 1]], 2), False)
-def test_unit_pass_leaves_no_unit(case, stacked):
-    from degenloci.intlinalg import _sparse_rows, _unit_pivots
+def test_hermite_unit_pivots_split_off_the_smith_form(case, stacked):
+    from degenloci.intlinalg import _hermite, _sparse_rows
 
     rows, ncols = case
     if stacked:
         rows = _with_stacked_rows(rows)
-    pivots, residual = _unit_pivots(_sparse_rows(_sparse(rows), ncols))
-    # every pivot row keeps its pivot as its largest column, so the pivot
-    # rows and an echelon form of the residual have distinct largest columns
-    for c, row in pivots.items():
-        assert row[c] == 1 and max(row) == c
-        assert not set(row) & (set(pivots) - {c})
-    assert not any(set(row) & set(pivots) for row in residual)
-    assert all(row and row[max(row)] not in (1, -1) for row in residual)
-    dense = [[row.get(j, 0) for j in range(ncols)] for row in residual]
-    assert len(pivots) + rational_rank(dense)[0] == rational_rank(rows)[0]
+    basis = _hermite(_sparse_rows(_sparse(rows), ncols))
+    units = {c for c, row in basis.items() if row[c] == 1}
+    wide = [row for c, row in basis.items() if c not in units]
+    # every pivot row keeps its pivot as its largest column, and no row
+    # holds another row's unit pivot column
+    for c, row in basis.items():
+        assert row[c] > 0 and max(row) == c
+        assert not set(row) & (units - {c})
+    assert len(basis) == rational_rank(rows)[0]
+    # so Smith(A) = I_k + Smith(wide rows), k the number of unit pivots
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in wide]
+    assert elementary_divisors(rows) == sorted([1] * len(units) + elementary_divisors(dense))
 
 
 def test_cokernel_known_cases():
     assert cokernel(_sparse([[2, 0], [0, 3]]), 2) == (2, [6], [], True)
     assert cokernel(_sparse([[2, 4], [6, 8], [-2, -4], [8, 12]]), 2) == (
         2, [2, 4], [], True)
-    # with a residual the free columns need not span over Z: modulo
+    # with a wide pivot the free columns need not span over Z: modulo
     # torsion, column 0 is -2 times column 1, so columns 0 and 2 span an
     # index-2 sublattice (the pivot 4 against the divisor 2)
     assert cokernel(_sparse([[2, 4, 0]]), 3) == (1, [2], [0, 2], False)
     assert cokernel([{0: 2, 1: 4}], 3) == (1, [2], [0, 2], False)
-    # the residual's pivot 2 is its divisor: column 1 spans the free part
+    # the wide pivot 2 is its divisor: column 1 spans the free part
     assert cokernel(_sparse([[2, 0]]), 2) == (1, [2], [1], True)
     assert cokernel([], 3) == (0, [], [0, 1, 2], True)
     assert cokernel(_sparse([[0, 0]]), 2) == (0, [], [0, 1], True)
     # each pivot row writes its pivot column over column 0
     assert cokernel(_sparse([[1, 1, 0], [0, 1, 1]]), 3) == (2, [], [0], True)
-    # no unit at all: the residual's Hermite basis, columns reversed, leads
-    # at columns 2 and 1
+    # no unit at all: the wide pivots are at columns 2 and 1
     assert cokernel(_sparse([[2, 4, 6], [4, 2, 0]]), 3) == (2, [2, 6], [0], True)
-    # units only left of a larger entry: every row waits, and the residual
-    # leads at columns 3 and 0, then 2 and 1; modulo torsion column 2 is
-    # -2 times column 3, and column 0 is 6 times column 2
+    # units only left of a larger entry: the pivots are at columns 3 and 0
+    # (the second row meets the wide pivot 4 and is left a unit), then at
+    # 2 and 1; modulo torsion column 2 is -2 times column 3, and column 0
+    # is 6 times column 2
     assert cokernel(_sparse([[1, 0, 2, 4], [0, 0, 2, 4]]), 4) == (
         2, [2], [1, 2], False)
     assert cokernel(_sparse([[1, 3, 0, 0], [0, 2, 4, 0], [0, 0, 0, 0]]), 4) == (
         2, [2], [0, 3], False)
-    # a unit pivot at column 2 beside a residual at column 1
+    # a unit pivot at column 2 beside a wide pivot at column 1
     assert cokernel(_sparse([[1, 0, 1], [0, 2, 0]]), 3) == (2, [2], [0], True)
     assert cokernel([], 0) == (0, [], [], True)
     # every case agrees with rational elimination on reversed columns
@@ -471,8 +501,9 @@ def test_cokernel_known_cases():
 
 
 def test_cokernel_leaves_its_input_unchanged():
-    # the unit pass reduces the second row to {0: 1} and clears column 0
-    # from the first, and the zero entry is dropped, all on copies
+    # the elimination reduces the second row to the unit pivot {0: 1} and
+    # clears column 0 from the first, and the zero entry is dropped, all on
+    # copies
     rows = [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]
     assert cokernel(rows, 3) == (2, [], [2], True)
     assert rows == [{0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}]

@@ -197,16 +197,16 @@ def test_table_vanishes_above_dimension():
     assert all(tbl.rank(degree) == 0 for degree in range(9, 15))
 
 
-def test_piece_without_a_residual_matches_dense_elimination():
-    # degree 34 of G(4,8): the unit pivots alone certify the piece, so its
-    # Smith form needs no residual
+def test_piece_with_unit_pivots_matches_dense_elimination():
+    # degree 34 of G(4,8): every pivot is 1, which certifies the piece
+    # free with the standard monomials as its basis
     from degenloci.intlinalg import (
-        _sparse_rows, _unit_pivots, elementary_divisors, fraction_free_echelon)
+        _hermite, _sparse_rows, elementary_divisors, fraction_free_echelon)
 
     pres = grassmannian_presentation(4, 8)
     rows, monos = relation_rows(pres, 17)
-    _, residual = _unit_pivots(_sparse_rows(rows, len(monos)))
-    assert not residual
+    basis = _hermite(_sparse_rows(rows, len(monos)))
+    assert all(row[c] == 1 for c, row in basis.items())
     dense = [[row.get(j, 0) for j in range(len(monos))] for row in rows]
     assert not [d for d in elementary_divisors(dense) if d > 1]
     # the basis complements the pivots of elimination from the right
@@ -223,36 +223,38 @@ def test_piece_without_a_residual_matches_dense_elimination():
 # from independent computations: rank and torsion from a column sweep of
 # unit pivots that left 238 x 27 and 444 x 38 residuals (entries of 49 and
 # 62 bits), then a textbook Smith reduction of those; the free columns from
-# dense Bareiss elimination on the columns reversed.  Row insertion leaves
-# no residual
+# dense Bareiss elimination on the columns reversed.  Every pivot of their
+# Hermite basis is 1
 @pytest.mark.parametrize("q, frozen", [
     (27, (477, [], [0, 2, 13])),
     (30, (673, [], [0])),
 ])
 def test_grassmannian_5_11_largest_pieces_are_frozen(q, frozen):
-    from degenloci.intlinalg import _sparse_rows, _unit_pivots, cokernel
+    from degenloci.intlinalg import _hermite, _sparse_rows, cokernel
 
     rows, monos = relation_rows(grassmannian_presentation(5, 11), q)
-    # no residual, so the free columns are certified
+    # every pivot is 1, so the free columns are certified
     assert cokernel(rows, len(monos)) == (*frozen, True)
     assert len(monos) - frozen[0] == count_in_box(q, 6, 5)
-    assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1]
+    basis = _hermite(_sparse_rows(rows, len(monos)))
+    assert all(row[c] == 1 for c, row in basis.items())
 
 
 @pytest.mark.parametrize("pres, top", [
     (grassmannian_presentation(4, 8), 20),
     (isotropic_presentation(4, 5), 22),
 ], ids=["G(4,8)", "LG(4,5)"])
-def test_unit_pivots_leave_no_residual_on_ring_windows(pres, top):
+def test_every_pivot_is_one_on_ring_windows(pres, top):
     # every graded piece of G(4,8) to degree 40 and LG(4,5) to degree 44
-    from degenloci.intlinalg import _sparse_rows, _unit_pivots
+    from degenloci.intlinalg import _hermite, _sparse_rows
 
     # in the order of the relations and in the order cokernel inserts them
     for q in range(top + 1):
         rows, monos = relation_rows(pres, q)
-        assert not _unit_pivots(_sparse_rows(rows, len(monos)))[1], q
-        ordered = sorted(_sparse_rows(rows, len(monos)), key=max)
-        assert not _unit_pivots(ordered)[1], q
+        for ordered in (_sparse_rows(rows, len(monos)),
+                        sorted(_sparse_rows(rows, len(monos)), key=max)):
+            basis = _hermite(ordered)
+            assert all(row[c] == 1 for c, row in basis.items()), q
 
 
 def test_basis_rows_match_rank():
@@ -285,7 +287,7 @@ def test_basis_is_integral_on_small_windows():
 def test_graded_table_refuses_an_uncertified_basis():
     # in degree 4, Z{c1^2, c2} / (2 c1^2 + 3 c2) is free on a generator g
     # with c1^2 = 3g and c2 = -2g, so the standard monomial c2 spans only an
-    # index-2 sublattice; lower degrees leave no residual
+    # index-2 sublattice; in lower degrees every pivot is 1
     c1, c2 = cgen(1), cgen(2)
     pres = RingPresentation("test", (), 2, (2 * c1 ** 2 + 3 * c2,))
     assert graded_table(pres, 2).rows[2].basis == ((("c1", 1),),)
